@@ -412,7 +412,7 @@ let evaluate_mapping config spec mapping =
   in
   let scalings =
     Mm_obs.Probe.run p_dvs (fun () ->
-        let workspace = Spec.scaling_workspace ctx in
+        let workspace = Scaling.domain_workspace () in
         Array.init n_modes (fun mode ->
             match cached.(mode) with
             | Some (_, scaling, _) -> scaling
@@ -615,7 +615,7 @@ let evaluate_mapping_delta config spec parent ~dirty mapping =
       in
       let scalings =
         Mm_obs.Probe.run p_dvs (fun () ->
-            let workspace = Spec.scaling_workspace ctx in
+            let workspace = Scaling.domain_workspace () in
             Array.init n_modes (fun mode ->
                 if not dirty_modes.(mode) then parent.scalings.(mode)
                 else

@@ -10,25 +10,28 @@ type position = { mode : int; task : int }
 
 module Int_map = Map.Make (Int)
 
+(* One domain's per-mode memo caches for one specification. *)
+type domain_caches = {
+  owner : Domain.id;
+  mobility : Mm_taskgraph.Mobility.t Mm_parallel.Memo.t;
+  evals :
+    (Mm_sched.Schedule.t * Mm_dvs.Scaling.t * Mm_energy.Power.mode_power)
+    Mm_parallel.Memo.t;
+}
+
 (* Everything mapping-independent that the fitness pipeline needs per
    candidate, hoisted out of the per-evaluation path and built exactly
    once per specification (paper Fig. 4's inner loop runs thousands of
    times per synthesis; see DESIGN.md §10).  The route table and
-   dispatch are immutable and shared freely across domains; the
-   per-mode memo caches are domain-local (each worker domain lazily
-   gets its own), because [Memo.t] is not thread-safe. *)
+   dispatch are immutable and shared freely across domains.  The
+   per-mode memo caches are one slot per domain, because [Memo.t] is
+   not thread-safe: a domain appends its slot on first use and after
+   that touches only its own.  The slots live here rather than in
+   domain-local storage, so they die with the specification. *)
 type compiled = {
   routes : Mm_sched.Comm_mapping.table;
   dispatch : Tech_lib.dispatch;
-  mobility_cache :
-    Mm_taskgraph.Mobility.t Mm_parallel.Memo.t Domain.DLS.key;
-  eval_cache :
-    (Mm_sched.Schedule.t * Mm_dvs.Scaling.t * Mm_energy.Power.mode_power)
-    Mm_parallel.Memo.t
-    Domain.DLS.key;
-  scaling_workspace : Mm_dvs.Scaling.workspace Domain.DLS.key;
-      (** Scratch buffers for the flat DVS kernel; domain-local because
-          the workspace is mutable and reused across evaluations. *)
+  caches : domain_caches list Atomic.t;
 }
 
 type t = {
@@ -101,13 +104,7 @@ let compile t =
   {
     routes = Mm_sched.Comm_mapping.table t.arch;
     dispatch = Tech_lib.dispatch t.tech ~n_types ~n_pes:(Arch.n_pes t.arch);
-    mobility_cache =
-      Domain.DLS.new_key (fun () ->
-          Mm_parallel.Memo.create ~capacity:mode_cache_capacity ());
-    eval_cache =
-      Domain.DLS.new_key (fun () ->
-          Mm_parallel.Memo.create ~capacity:mode_cache_capacity ());
-    scaling_workspace = Domain.DLS.new_key Mm_dvs.Scaling.create_workspace;
+    caches = Atomic.make [];
   }
 
 let compiled t =
@@ -123,9 +120,30 @@ let compiled t =
 
 let routes c = c.routes
 let dispatch c = c.dispatch
-let mode_mobility_cache c = Domain.DLS.get c.mobility_cache
-let mode_eval_cache c = Domain.DLS.get c.eval_cache
-let scaling_workspace c = Domain.DLS.get c.scaling_workspace
+
+(* Only the owning domain ever adds its slot, so a lost CAS just means
+   another domain appended first: retry on the new list. *)
+let domain_caches c =
+  let self = Domain.self () in
+  match List.find_opt (fun s -> s.owner = self) (Atomic.get c.caches) with
+  | Some s -> s
+  | None ->
+    let s =
+      {
+        owner = self;
+        mobility = Mm_parallel.Memo.create ~capacity:mode_cache_capacity ();
+        evals = Mm_parallel.Memo.create ~capacity:mode_cache_capacity ();
+      }
+    in
+    let rec publish () =
+      let slots = Atomic.get c.caches in
+      if not (Atomic.compare_and_set c.caches slots (s :: slots)) then publish ()
+    in
+    publish ();
+    s
+
+let mode_mobility_cache c = (domain_caches c).mobility
+let mode_eval_cache c = (domain_caches c).evals
 
 let omsm t = t.omsm
 let arch t = t.arch

@@ -26,7 +26,8 @@ type compiled
     architecture's route table, the technology library's dense dispatch
     table, and the per-mode memo caches of the fitness pipeline —
     everything mapping-independent, hoisted out of the per-candidate
-    path. *)
+    path.  The caches are one slot per domain held in this record, so
+    they become unreachable together with the specification. *)
 
 val compiled : t -> compiled
 (** The context of this specification, built on first use and memoized
@@ -38,21 +39,19 @@ val routes : compiled -> Mm_sched.Comm_mapping.table
 val dispatch : compiled -> Mm_arch.Tech_lib.dispatch
 
 val mode_mobility_cache : compiled -> Mm_taskgraph.Mobility.t Mm_parallel.Memo.t
-(** This domain's per-mode mobility cache, keyed by (mode, mapping row).
-    Domain-local because {!Mm_parallel.Memo} is not thread-safe. *)
+(** The calling domain's per-mode mobility cache for this
+    specification, keyed by (mode, mapping row).  One per domain because
+    {!Mm_parallel.Memo} is not thread-safe; created on the domain's
+    first call and owned by the context, not by the domain. *)
 
 val mode_eval_cache :
   compiled ->
   (Mm_sched.Schedule.t * Mm_dvs.Scaling.t * Mm_energy.Power.mode_power)
   Mm_parallel.Memo.t
-(** This domain's per-mode (schedule, scaling, power) cache, keyed by
-    (mode, scheduler/DVS config fingerprint, mapping row, core-instance
-    signature). *)
-
-val scaling_workspace : compiled -> Mm_dvs.Scaling.workspace
-(** This domain's scratch buffers for the flat DVS kernel
-    ({!Mm_dvs.Scaling.run}); domain-local because the workspace is
-    mutable and reused across evaluations. *)
+(** The calling domain's per-mode (schedule, scaling, power) cache for
+    this specification, keyed by (mode, scheduler/DVS config
+    fingerprint, mapping row, core-instance signature).  Same ownership
+    as {!mode_mobility_cache}. *)
 
 val n_positions : t -> int
 (** Genome length: Σ_O |T_O|. *)

@@ -546,8 +546,8 @@ let nominal_reference ~graph ~arch ~tech ~schedule () =
 (* ------------------------------------------------------------------ *)
 (* Flat fast path (DESIGN.md §13).                                     *)
 (*                                                                     *)
-(* The unit DAG lives in reusable flat arrays (a [workspace], held per  *)
-(* domain by [Spec.compiled]); predecessors/successors are CSR slices;  *)
+(* The unit DAG lives in reusable flat arrays (a [workspace], one per  *)
+(* domain: [domain_workspace]); predecessors/successors are CSR slices; *)
 (* per-unit durations and next-lower-level gradient candidates are     *)
 (* cached so the passes and the greedy loop never re-enter the         *)
 (* [Voltage] power-law kernels for unchanged units; and the            *)
@@ -632,6 +632,12 @@ let create_workspace () =
     topo = [||];
     scratch = [||];
   }
+
+(* One workspace per domain, shared by every specification that domain
+   evaluates: [run] rebuilds it from scratch on each call and never
+   yields mid-call, and a domain runs one evaluation at a time. *)
+let workspace_key = Domain.DLS.new_key create_workspace
+let domain_workspace () = Domain.DLS.get workspace_key
 
 (* Unit counts and edge counts are known before any array is filled, so
    growth never needs to preserve contents. *)

@@ -73,12 +73,16 @@ type t = {
 type workspace
 (** Reusable scratch buffers for {!run}: flat unit/CSR arrays and the
     gradient heap (DESIGN.md §13).  A workspace is not thread-safe; use
-    one per domain ({!Mm_cosynth.Spec.compiled} holds one in
-    domain-local storage).  Buffers grow on demand and are rebuilt on
-    every call, so a workspace may be shared freely across modes,
-    graphs and configs. *)
+    one per domain ({!domain_workspace}).  Buffers grow on demand and
+    are rebuilt on every call, so a workspace may be shared freely
+    across modes, graphs, configs and specifications. *)
 
 val create_workspace : unit -> workspace
+
+val domain_workspace : unit -> workspace
+(** The calling domain's workspace, created on first use and kept for
+    the domain's lifetime (its size is that of the largest graph the
+    domain has scaled). *)
 
 val run :
   ?config:config ->

@@ -13,7 +13,7 @@ let site_write_fail = Fault.site "registry.write_fail"
 
 type entry = {
   job : Job.t;
-  spec : Mm_cosynth.Spec.t;
+  mutable spec : Mm_cosynth.Spec.t option;
   spec_text : string;
   mutable resume : Synthesis.run_state option;
 }
@@ -118,7 +118,7 @@ let submit ?nonce t ~spec_text ~options ~now =
       Job.create ?nonce ~seq ~options
         ~spec_fingerprint:(Snapshot.fingerprint spec) ~now ()
     in
-    let entry = { job; spec; spec_text; resume = None } in
+    let entry = { job; spec = Some spec; spec_text; resume = None } in
     mkdir_p (job_dir t entry);
     Codec.write_file (spec_path t entry) spec_text;
     persist_meta t entry;
@@ -140,12 +140,17 @@ let load_entry t ~id =
     | Error message -> Error message
     | Ok job -> (
       let spec_text = read (Filename.concat dir "spec.mms") in
-      match Codec.spec_of_string_result spec_text with
-      | Error diags ->
-        Error
-          (Printf.sprintf "spec no longer loads: %d diagnostics"
-             (List.length diags))
-      | Ok spec -> Ok { job; spec; spec_text; resume = None })
+      (* A terminal job never runs again: its spec is kept as text only,
+         so neither a parse nor a corrupt file can cost it its listing. *)
+      if Job.terminal job.Job.state then
+        Ok { job; spec = None; spec_text; resume = None }
+      else
+        match Codec.spec_of_string_result spec_text with
+        | Error diags ->
+          Error
+            (Printf.sprintf "spec no longer loads: %d diagnostics"
+               (List.length diags))
+        | Ok spec -> Ok { job; spec = Some spec; spec_text; resume = None })
   with
   | result -> result
   | exception Sys_error message -> Error message
@@ -196,32 +201,33 @@ let rehydrate t =
   t.ordered <- loaded;
   List.filter
     (fun entry ->
-      (not (Job.terminal entry.job.Job.state))
-      && begin
-           (* The newest checkpoint generation that still decodes wins;
-              corrupt ones are renamed [*.corrupt] so the fallback is
-              permanent, not retried every startup. *)
-           let scan =
-             Snapshot.load_latest ~quarantine:true
-               ~path:(checkpoint_path t entry) ~spec:entry.spec ()
-           in
-           List.iter
-             (fun corrupt ->
-               prerr_endline
-                 (Printf.sprintf "mmsynthd: %s: corrupt checkpoint quarantined as %s"
-                    entry.job.Job.id (Filename.basename corrupt)))
-             scan.Snapshot.quarantined;
-           (match scan.Snapshot.found with
-           | Some (Snapshot.Synth state, index) ->
-             entry.resume <- Some state;
-             if index > 0 then
-               prerr_endline
-                 (Printf.sprintf
-                    "mmsynthd: %s: resuming from rotated checkpoint generation %d"
-                    entry.job.Job.id index)
-           | Some (Snapshot.Compare _, _) | None -> entry.resume <- None);
-           true
-         end)
+      (* Only non-terminal entries were loaded with a parsed spec. *)
+      match entry.spec with
+      | None -> false
+      | Some spec ->
+        (* The newest checkpoint generation that still decodes wins;
+           corrupt ones are renamed [*.corrupt] so the fallback is
+           permanent, not retried every startup. *)
+        let scan =
+          Snapshot.load_latest ~quarantine:true
+            ~path:(checkpoint_path t entry) ~spec ()
+        in
+        List.iter
+          (fun corrupt ->
+            prerr_endline
+              (Printf.sprintf "mmsynthd: %s: corrupt checkpoint quarantined as %s"
+                 entry.job.Job.id (Filename.basename corrupt)))
+          scan.Snapshot.quarantined;
+        (match scan.Snapshot.found with
+        | Some (Snapshot.Synth state, index) ->
+          entry.resume <- Some state;
+          if index > 0 then
+            prerr_endline
+              (Printf.sprintf
+                 "mmsynthd: %s: resuming from rotated checkpoint generation %d"
+                 entry.job.Job.id index)
+        | Some (Snapshot.Compare _, _) | None -> entry.resume <- None);
+        true)
     loaded
 
 (* --- lifecycle --------------------------------------------------------- *)
@@ -270,8 +276,15 @@ let checkpointed t entry ~now =
   persist_meta t entry;
   ignore now
 
+(* Every terminal transition drops the parsed spec: a finished job never
+   runs again, and the spec's compiled context owns per-mode caches that
+   would otherwise live as long as the daemon.  [spec_text] stays. *)
+let finish entry to_ =
+  transition_exn entry to_;
+  entry.spec <- None
+
 let complete t entry (result : Synthesis.result) ~now =
-  transition_exn entry Job.Completed;
+  finish entry Job.Completed;
   let outcome =
     {
       Job.power = Synthesis.average_power result;
@@ -311,7 +324,7 @@ let complete t entry (result : Synthesis.result) ~now =
     ()
 
 let fail t entry message ~now =
-  transition_exn entry Job.Failed;
+  finish entry Job.Failed;
   entry.job.Job.error <- Some message;
   entry.job.Job.finished_at <- Some now;
   persist_meta t entry;
@@ -322,7 +335,7 @@ let fail t entry message ~now =
     ()
 
 let cancel t entry ~now =
-  transition_exn entry Job.Cancelled;
+  finish entry Job.Cancelled;
   entry.job.Job.finished_at <- Some now;
   persist_meta t entry;
   state_event t entry ~now ()

@@ -24,8 +24,13 @@
 
 type entry = {
   job : Job.t;
-  spec : Mm_cosynth.Spec.t;
-  spec_text : string;
+  mutable spec : Mm_cosynth.Spec.t option;
+      (** The parsed spec, held only while the job can still run: set at
+          admission and by {!rehydrate} for non-terminal jobs, dropped by
+          {!complete}, {!fail} and {!cancel}.  A parsed spec owns the
+          per-mode caches of its compiled context, so a daemon that kept
+          it for finished jobs would grow without bound. *)
+  spec_text : string;  (** The submitted text, kept for every job. *)
   mutable resume : Mm_cosynth.Synthesis.run_state option;
       (** Loaded by {!rehydrate}; the server consumes it at restart. *)
 }
@@ -62,7 +67,10 @@ val rehydrate : t -> entry list
     resume falls back to the next older one.  A directory whose
     [job.sexp] no longer loads has it quarantined as
     [job.sexp.corrupt] (and is skipped quietly on later startups)
-    instead of poisoning the whole recovery. *)
+    instead of poisoning the whole recovery; so has a non-terminal job
+    whose [spec.mms] no longer parses.  Terminal jobs keep their spec as
+    text only and are never parsed, so a damaged [spec.mms] cannot cost
+    a finished job its listing. *)
 
 val find : t -> string -> entry option
 
@@ -76,7 +84,8 @@ val entries : t -> entry list
 
 (* Lifecycle mutators: each transitions the state machine (illegal moves
    raise [Invalid_argument] — they are daemon bugs, not wire input),
-   persists [job.sexp] and appends an event. *)
+   persists [job.sexp] and appends an event.  The terminal ones
+   ([complete], [fail], [cancel]) also drop [entry.spec]. *)
 
 val mark_running : t -> entry -> now:float -> unit
 (** Queued/Checkpointed → Running; a no-op when already Running (a

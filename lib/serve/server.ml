@@ -133,17 +133,28 @@ let flush_conn conn =
 
 (* --- job bodies --------------------------------------------------------- *)
 
+(* The body binds the entry's parsed spec once: the registry drops it at
+   the terminal transition, and with it the spec's per-mode caches once
+   the body returns.  The handle is dropped then too — [Cancel] answers
+   terminal jobs from the registry alone. *)
 let spawn_job t entry =
   let handle =
     Scheduler.spawn t.sched (fun ~yield ->
         let job = entry.Registry.job in
+        Fun.protect ~finally:(fun () -> Hashtbl.remove t.handles job.Job.id)
+        @@ fun () ->
         try
+          let spec =
+            match entry.Registry.spec with
+            | Some spec -> spec
+            | None -> invalid_arg "mmsynthd: runnable job without a parsed spec"
+          in
           Registry.mark_running t.registry entry ~now:(now ());
           let config = synthesis_config job.Job.options in
           let sink =
             Snapshot.synth_sink ~keep:t.config.keep_checkpoints
               ~path:(Registry.checkpoint_path t.registry entry)
-              ~spec:entry.Registry.spec ~every:t.config.checkpoint_every ()
+              ~spec ~every:t.config.checkpoint_every ()
           in
           (* Keep job.sexp in agreement with the snapshot a crash would
              find: the state flips to Checkpointed the moment a snapshot
@@ -170,7 +181,7 @@ let spawn_job t entry =
               ~yield:(fun p ->
                 Registry.record_progress t.registry entry p ~now:(now ());
                 yield ())
-              ~spec:entry.Registry.spec ~seed:job.Job.options.Job.seed ()
+              ~spec ~seed:job.Job.options.Job.seed ()
           in
           Registry.complete t.registry entry result ~now:(now ())
         with
@@ -260,8 +271,10 @@ let handle_request t conn = function
         (* A queued body never runs, so nothing would record the
            cancellation — do it here.  Running jobs cancel themselves at
            their next yield. *)
-        if job.Job.state = Job.Queued then
+        if job.Job.state = Job.Queued then begin
           Registry.cancel t.registry entry ~now:(now ());
+          Hashtbl.remove t.handles id
+        end;
         send conn Protocol.Done
       end)
   | Protocol.Watch id -> (

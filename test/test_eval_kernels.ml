@@ -18,6 +18,7 @@ module Comm_mapping = Mm_sched.Comm_mapping
 module List_scheduler = Mm_sched.List_scheduler
 module Scaling = Mm_dvs.Scaling
 module Memo = Mm_parallel.Memo
+module Pool = Mm_parallel.Pool
 module Prng = Mm_util.Prng
 module Random_system = Mm_benchgen.Random_system
 
@@ -208,6 +209,40 @@ let test_mutated_genome_consistent () =
   Alcotest.(check bool) "untouched modes hit the mobility cache" true
     (Memo.hits (Spec.mode_mobility_cache ctx) >= mob_hits + (n_modes - 1))
 
+(* The per-mode caches belong to the spec's compiled context, not to the
+   domains that filled them: a long-lived daemon evaluates a freshly
+   parsed spec per job, so once a spec is dropped every domain's caches
+   must become collectable.  Evaluates serially and through the pool,
+   and returns only weak pointers to the caches each domain used. *)
+let[@inline never] evaluate_and_forget pool =
+  let spec = Mm_io.Codec.spec_of_string (Mm_io.Codec.spec_to_string (spec_of_seed 44)) in
+  let rng = Prng.create ~seed:5 in
+  let genomes = Array.init 16 (fun _ -> random_genome rng spec) in
+  let evaluate genome =
+    ignore (Fitness.evaluate Fitness.default_config spec genome);
+    Spec.mode_eval_cache (Spec.compiled spec)
+  in
+  let used = Array.append (Array.map evaluate genomes) (Pool.map pool evaluate genomes) in
+  let distinct =
+    Array.fold_left (fun acc c -> if List.memq c acc then acc else c :: acc) [] used
+  in
+  let weak = Weak.create (List.length distinct) in
+  List.iteri (fun i c -> Weak.set weak i (Some c)) distinct;
+  weak
+
+let test_caches_die_with_spec () =
+  let pool = Pool.create ~domains:2 () in
+  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
+  let weak = evaluate_and_forget pool in
+  (* The pool stays up: a worker domain that evaluated the spec must not
+     keep its caches alive either. *)
+  Gc.full_major ();
+  for i = 0 to Weak.length weak - 1 do
+    if Weak.check weak i then
+      Alcotest.failf "per-mode cache %d of %d outlived its spec" (i + 1)
+        (Weak.length weak)
+  done
+
 let () =
   Alcotest.run "mm_eval_kernels"
     [
@@ -224,5 +259,7 @@ let () =
             test_repeat_evaluation_hits_cache;
           Alcotest.test_case "mutation keeps cached modes consistent" `Quick
             test_mutated_genome_consistent;
+          Alcotest.test_case "caches die with their spec" `Quick
+            test_caches_die_with_spec;
         ] );
     ]

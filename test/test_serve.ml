@@ -518,6 +518,15 @@ let test_scheduler_exception_isolated () =
 let small_options =
   { Job.default_options with seed = 1; generations = 10; population = 8; restarts = 1 }
 
+(* The registry holds a parsed spec only while its job can still run;
+   a test that needs one after the job finished re-parses the text. *)
+let live_spec entry =
+  match entry.Registry.spec with
+  | Some spec -> spec
+  | None -> Alcotest.fail "runnable job has no parsed spec"
+
+let parse_spec_text entry = Mm_io.Codec.spec_of_string entry.Registry.spec_text
+
 let submit_ok registry ?(options = small_options) ?(now = 100.) () =
   match Registry.submit registry ~spec_text ~options ~now with
   | Ok entry -> entry
@@ -588,13 +597,15 @@ let test_registry_lifecycle_and_rehydrate () =
   let result =
     Synthesis.run
       ~config:(Server.synthesis_config small_options)
-      ~spec:done_entry.Registry.spec ~seed:small_options.Job.seed ()
+      ~spec:(live_spec done_entry) ~seed:small_options.Job.seed ()
   in
   Registry.complete registry done_entry result ~now:108.;
   Alcotest.(check bool) "completed" true
     (done_entry.Registry.job.Job.state = Job.Completed);
   Alcotest.(check bool) "outcome retained" true
     (done_entry.Registry.job.Job.outcome <> None);
+  Alcotest.(check bool) "completed job drops its spec" true
+    (done_entry.Registry.spec = None);
   Alcotest.(check bool) "result.sexp written" true
     (Sys.file_exists
        (Filename.concat
@@ -602,6 +613,8 @@ let test_registry_lifecycle_and_rehydrate () =
           "result.sexp"));
   let gone_entry = submit_ok registry () in
   Registry.cancel registry gone_entry ~now:109.;
+  Alcotest.(check bool) "cancelled job drops its spec" true
+    (gone_entry.Registry.spec = None);
   (* A fresh registry on the same directory sees all three, returns only
      the non-terminal one from rehydrate and continues the sequence. *)
   let registry2 = Registry.create ~state_dir:dir in
@@ -610,17 +623,126 @@ let test_registry_lifecycle_and_rehydrate () =
     (List.length (Registry.entries registry2));
   (match live with
   | [ e ] ->
-    Alcotest.(check string) "in-flight job" "job-0001" e.Registry.job.Job.id
+    Alcotest.(check string) "in-flight job" "job-0001" e.Registry.job.Job.id;
+    Alcotest.(check bool) "in-flight job reparsed" true (e.Registry.spec <> None)
   | live ->
     Alcotest.failf "expected 1 live entry, got %d" (List.length live));
   (match Registry.find registry2 "job-0002" with
   | Some e ->
     Alcotest.(check bool) "completed survives restart" true
-      (e.Registry.job.Job.state = Job.Completed)
+      (e.Registry.job.Job.state = Job.Completed);
+    Alcotest.(check bool) "completed job not reparsed" true (e.Registry.spec = None)
   | None -> Alcotest.fail "job-0002 lost across restart");
   let next = submit_ok registry2 () in
   Alcotest.(check string) "sequence continues after restart" "job-0004"
     next.Registry.job.Job.id
+
+(* A restart lists a finished job from its metadata alone: its spec.mms
+   is never parsed again, so even a damaged one cannot cost it its
+   listing or touch its result.  A job that still has to run needs its
+   spec, and is quarantined when that no longer loads. *)
+let test_rehydrate_terminal_spec_unparsed () =
+  let dir = temp_dir "serve-terminal-spec" in
+  let registry = Registry.create ~state_dir:dir in
+  let done_entry = submit_ok registry () in
+  Registry.mark_running registry done_entry ~now:101.;
+  let result =
+    Synthesis.run
+      ~config:(Server.synthesis_config small_options)
+      ~spec:(live_spec done_entry) ~seed:small_options.Job.seed ()
+  in
+  Registry.complete registry done_entry result ~now:102.;
+  ignore (submit_ok registry ~now:103. ());
+  let job_file id name =
+    Filename.concat (Filename.concat (Filename.concat dir "jobs") id) name
+  in
+  let result_before = Mm_io.Codec.read_file (job_file "job-0001" "result.sexp") in
+  let garbage = "(spec (name" in
+  List.iter
+    (fun id -> Mm_io.Codec.write_file (job_file id "spec.mms") garbage)
+    [ "job-0001"; "job-0002" ];
+  let registry2 = Registry.create ~state_dir:dir in
+  let live = Registry.rehydrate registry2 in
+  Alcotest.(check int) "nothing left to run" 0 (List.length live);
+  (match Registry.entries registry2 with
+  | [ e ] ->
+    Alcotest.(check string) "finished job listed" "job-0001" e.Registry.job.Job.id;
+    Alcotest.(check bool) "still completed" true
+      (e.Registry.job.Job.state = Job.Completed);
+    Alcotest.(check bool) "outcome untouched" true
+      (match e.Registry.job.Job.outcome with
+      | Some outcome ->
+        feq outcome.Job.power (Synthesis.average_power result)
+        && outcome.Job.genome = result.Synthesis.genome
+      | None -> false);
+    Alcotest.(check bool) "no parsed spec" true (e.Registry.spec = None);
+    Alcotest.(check string) "spec text kept verbatim" garbage e.Registry.spec_text
+  | entries -> Alcotest.failf "expected 1 entry, got %d" (List.length entries));
+  Alcotest.(check string) "result.sexp untouched" result_before
+    (Mm_io.Codec.read_file (job_file "job-0001" "result.sexp"));
+  Alcotest.(check bool) "queued job quarantined" true
+    (Sys.file_exists (job_file "job-0002" "job.sexp.corrupt"));
+  Alcotest.(check bool) "queued job metadata moved aside" false
+    (Sys.file_exists (job_file "job-0002" "job.sexp"))
+
+(* --- memory: finished jobs release their specs ------------------------------- *)
+
+(* Run jobs the way the server does — one coroutine per job on the
+   round-robin scheduler, the spec bound once at the start of the body —
+   and return weak pointers to the per-mode caches each job filled. *)
+let[@inline never] run_to_completion registry entries =
+  let sched = Scheduler.create () in
+  let weak = Weak.create (List.length entries) in
+  List.iteri
+    (fun i entry ->
+      ignore
+        (Scheduler.spawn sched (fun ~yield ->
+             let spec = live_spec entry in
+             let options = entry.Registry.job.Job.options in
+             Registry.mark_running registry entry ~now:111.;
+             let result =
+               Synthesis.run
+                 ~config:(Server.synthesis_config options)
+                 ~yield:(fun _ -> yield ())
+                 ~spec ~seed:options.Job.seed ()
+             in
+             let ctx = Mm_cosynth.Spec.compiled spec in
+             Weak.set weak i (Some (Mm_cosynth.Spec.mode_eval_cache ctx));
+             Registry.complete registry entry result ~now:112.)))
+    entries;
+  while Scheduler.step sched do
+    ()
+  done;
+  weak
+
+let test_finished_jobs_release_specs () =
+  let dir = temp_dir "serve-release" in
+  let registry = Registry.create ~state_dir:dir in
+  let entries =
+    List.init 3 (fun i ->
+        submit_ok registry ~options:{ small_options with Job.seed = i + 1 } ())
+  in
+  let weak = run_to_completion registry entries in
+  let cancelled = submit_ok registry ~now:113. () in
+  Registry.cancel registry cancelled ~now:114.;
+  List.iter
+    (fun e ->
+      Alcotest.(check bool)
+        (e.Registry.job.Job.id ^ " terminal")
+        true
+        (Job.terminal e.Registry.job.Job.state);
+      Alcotest.(check bool)
+        (e.Registry.job.Job.id ^ " holds no parsed spec")
+        true (e.Registry.spec = None))
+    (Registry.entries registry);
+  Gc.full_major ();
+  for i = 0 to Weak.length weak - 1 do
+    if Weak.check weak i then
+      Alcotest.failf "caches of finished job %d outlived it" (i + 1)
+  done;
+  (* The registry itself is still alive and still lists every job. *)
+  Alcotest.(check int) "registry still lists every job" 4
+    (List.length (Registry.entries registry))
 
 (* --- crash recovery ---------------------------------------------------------- *)
 
@@ -645,7 +767,7 @@ let test_crash_resume_bit_identical () =
   let sink0 =
     Snapshot.synth_sink
       ~path:(Registry.checkpoint_path registry entry)
-      ~spec:entry.Registry.spec ~every:3 ()
+      ~spec:(live_spec entry) ~every:3 ()
   in
   let sink =
     {
@@ -664,7 +786,7 @@ let test_crash_resume_bit_identical () =
             Registry.record_progress registry entry progress ~now:203.;
             incr yields;
             if !yields >= 8 then raise Exit)
-          ~spec:entry.Registry.spec ~seed:options.Job.seed ())
+          ~spec:(live_spec entry) ~seed:options.Job.seed ())
    with Exit -> () (* the job dies at a yield point, like SIGKILL *));
   let registry2 = Registry.create ~state_dir:dir in
   let e2 =
@@ -681,12 +803,11 @@ let test_crash_resume_bit_identical () =
   in
   Registry.mark_running registry2 e2 ~now:300.;
   let resumed =
-    Synthesis.run ~config ~resume ~spec:e2.Registry.spec
-      ~seed:options.Job.seed ()
+    Synthesis.run ~config ~resume ~spec:(live_spec e2) ~seed:options.Job.seed ()
   in
   Registry.complete registry2 e2 resumed ~now:301.;
   let direct =
-    Synthesis.run ~config ~spec:entry.Registry.spec ~seed:options.Job.seed ()
+    Synthesis.run ~config ~spec:(parse_spec_text e2) ~seed:options.Job.seed ()
   in
   Alcotest.(check bool) "same genome" true
     (resumed.Synthesis.genome = direct.Synthesis.genome);
@@ -807,7 +928,7 @@ let test_corrupt_checkpoint_falls_back () =
   Registry.mark_running registry entry ~now:201.;
   let checkpoint_path = Registry.checkpoint_path registry entry in
   let sink0 =
-    Snapshot.synth_sink ~keep:3 ~path:checkpoint_path ~spec:entry.Registry.spec
+    Snapshot.synth_sink ~keep:3 ~path:checkpoint_path ~spec:(live_spec entry)
       ~every:3 ()
   in
   let saves = ref 0 in
@@ -829,7 +950,7 @@ let test_corrupt_checkpoint_falls_back () =
             Registry.record_progress registry entry progress ~now:203.;
             incr yields;
             if !yields >= 8 then raise Exit)
-          ~spec:entry.Registry.spec ~seed:options.Job.seed ())
+          ~spec:(live_spec entry) ~seed:options.Job.seed ())
    with Exit -> ());
   Alcotest.(check bool) "rotated a second generation" true
     (!saves >= 2 && Sys.file_exists (checkpoint_path ^ ".1"));
@@ -854,10 +975,10 @@ let test_corrupt_checkpoint_falls_back () =
     (Sys.file_exists checkpoint_path);
   Registry.mark_running registry2 e2 ~now:300.;
   let resumed =
-    Synthesis.run ~config ~resume ~spec:e2.Registry.spec ~seed:options.Job.seed ()
+    Synthesis.run ~config ~resume ~spec:(live_spec e2) ~seed:options.Job.seed ()
   in
   let direct =
-    Synthesis.run ~config ~spec:entry.Registry.spec ~seed:options.Job.seed ()
+    Synthesis.run ~config ~spec:(parse_spec_text entry) ~seed:options.Job.seed ()
   in
   Alcotest.(check bool) "same genome" true
     (resumed.Synthesis.genome = direct.Synthesis.genome);
@@ -1217,6 +1338,10 @@ let () =
             test_registry_nonce_idempotence;
           Alcotest.test_case "corrupt metadata quarantined" `Quick
             test_rehydrate_quarantines_metadata;
+          Alcotest.test_case "finished jobs reload without their spec" `Quick
+            test_rehydrate_terminal_spec_unparsed;
+          Alcotest.test_case "finished jobs release their specs" `Quick
+            test_finished_jobs_release_specs;
         ] );
       ( "client retry",
         [ Alcotest.test_case "backoff schedule" `Quick test_backoff_schedule ] );
