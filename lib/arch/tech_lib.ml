@@ -5,7 +5,9 @@ type impl = { exec_time : float; dyn_power : float; area : float }
 module Key = struct
   type t = int * int (* task type id, PE id *)
 
-  let compare = compare
+  let compare (ty_a, pe_a) (ty_b, pe_b) =
+    let c = Int.compare ty_a ty_b in
+    if c <> 0 then c else Int.compare pe_a pe_b
 end
 
 module Key_map = Map.Make (Key)

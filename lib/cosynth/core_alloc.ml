@@ -1,153 +1,248 @@
-module Omsm = Mm_omsm.Omsm
-module Mode = Mm_omsm.Mode
-module Graph = Mm_taskgraph.Graph
-module Task = Mm_taskgraph.Task
-module Task_type = Mm_taskgraph.Task_type
 module Mobility = Mm_taskgraph.Mobility
 module Arch = Mm_arch.Architecture
 module Pe = Mm_arch.Pe
-module Tech_lib = Mm_arch.Tech_lib
-
-module Int_map = Map.Make (Int)
 
 type t = {
   arch : Arch.t;
-  (* per mode, per PE: type id -> instance count actually loaded. *)
-  loaded : int Int_map.t array array;
+  (* Loaded cores as flat (pe, type, count) triples, ascending by
+     (pe, type), counts >= 1.  ASIC cores are the same in every mode, so
+     they are kept once; FPGA cores per mode. *)
+  static_cores : int array;
+  mode_cores : int array array;
   area_used : float array;
   area_excess : float array;
 }
 
-let type_area spec ~pe ~ty_id = Spec.core_area spec ~pe ~ty_id
+(* The dense (mode, pe, type) -> instances table the allocation works
+   on: per-domain scratch, grown on demand and cleared by every call.
+   Only the core triples and the area arrays outlive a call. *)
+let counts_key = Domain.DLS.new_key (fun () -> ref [||])
 
-(* Maximum number of simultaneously executable tasks among the given
-   tasks, from their ASAP..(ALAP+exec) windows: sweep the window
-   endpoints. *)
-let max_window_overlap mobility tasks =
-  let events =
-    List.concat_map
-      (fun task ->
-        let start = mobility.Mobility.asap.(task) in
-        let finish = mobility.Mobility.alap.(task) +. mobility.Mobility.exec.(task) in
-        [ (start, 1); (finish, -1) ])
-      tasks
+let scratch_counts cells =
+  let counts = Domain.DLS.get counts_key in
+  if Array.length !counts < cells then counts := Array.make cells 0
+  else Array.fill !counts 0 cells 0;
+  !counts
+
+(* Maximum number of simultaneously executable tasks of a group, from
+   their ASAP..(ALAP+exec) windows: sweep the sorted endpoints, a finish
+   before a start at equal times. *)
+let max_window_overlap mob tasks =
+  let starts = Array.map (fun task -> mob.Mobility.asap.(task)) tasks in
+  let finishes =
+    Array.map (fun task -> mob.Mobility.alap.(task) +. mob.Mobility.exec.(task)) tasks
   in
-  let sorted = List.sort compare events in
-  let best = ref 0 and current = ref 0 in
-  List.iter
-    (fun (_, delta) ->
-      current := !current + delta;
-      best := max !best !current)
-    sorted;
+  Array.sort Float.compare starts;
+  Array.sort Float.compare finishes;
+  let best = ref 0 and current = ref 0 and j = ref 0 in
+  Array.iter
+    (fun start ->
+      while !j < Array.length finishes && finishes.(!j) <= start do
+        decr current;
+        incr j
+      done;
+      incr current;
+      if !current > !best then best := !current)
+    starts;
   !best
 
+type wish = { avg : float; w_mode : int; w_pe : int; w_ty : int; desired : int }
+
+let compare_wish a b =
+  let c = Float.compare a.avg b.avg in
+  if c <> 0 then c
+  else
+    let c = Int.compare a.w_mode b.w_mode in
+    if c <> 0 then c
+    else
+      let c = Int.compare a.w_pe b.w_pe in
+      if c <> 0 then c
+      else
+        let c = Int.compare a.w_ty b.w_ty in
+        if c <> 0 then c else Int.compare a.desired b.desired
+
 let allocate spec mapping ~mobilities =
-  let omsm = Spec.omsm spec in
   let arch = Spec.arch spec in
-  let n_modes = Omsm.n_modes omsm in
+  let ctx = Spec.compiled spec in
+  let rows = (mapping : Mapping.t :> int array array) in
+  let n_modes = Array.length rows in
   let n_pes = Arch.n_pes arch in
+  let n_types = Spec.n_types ctx in
+  let stride = n_pes * n_types in
+  let hardware = Array.init n_pes (fun pe -> Pe.is_hardware (Arch.pe arch pe)) in
+  let asic = Array.init n_pes (fun pe -> Pe.kind (Arch.pe arch pe) = Pe.Asic) in
+  let counts = scratch_counts (n_modes * stride) in
+  let area pe ty = Spec.core_area ctx ~pe ~ty in
   (* Base allocation: one instance per (mode, hw PE, used type); wishes
      for extra instances collected alongside. *)
-  let loaded = Array.init n_modes (fun _ -> Array.make n_pes Int_map.empty) in
   let wishes = ref [] in
   for mode = 0 to n_modes - 1 do
-    let graph = Mode.graph (Omsm.mode omsm mode) in
-    for pe = 0 to n_pes - 1 do
-      if Pe.is_hardware (Arch.pe arch pe) then begin
-        let tasks = Mapping.tasks_on_pe mapping ~mode ~pe in
-        let by_type =
-          List.fold_left
-            (fun acc task ->
-              let ty_id = Task_type.id (Task.ty (Graph.task graph task)) in
-              let existing = Option.value ~default:[] (Int_map.find_opt ty_id acc) in
-              Int_map.add ty_id (task :: existing) acc)
-            Int_map.empty tasks
-        in
-        Int_map.iter
-          (fun ty_id ty_tasks ->
-            loaded.(mode).(pe) <- Int_map.add ty_id 1 loaded.(mode).(pe);
-            let desired = max_window_overlap mobilities.(mode) ty_tasks in
-            if desired > 1 then begin
-              let avg_mobility =
-                List.fold_left
-                  (fun acc task -> acc +. Mobility.mobility mobilities.(mode) task)
-                  0.0 ty_tasks
-                /. float_of_int (List.length ty_tasks)
-              in
-              wishes := (avg_mobility, mode, pe, ty_id, desired) :: !wishes
-            end)
-          by_type
-      end
+    let row = rows.(mode) and types = Spec.task_types ctx mode in
+    let mob = mobilities.(mode) in
+    let key task = (row.(task) * n_types) + types.(task) in
+    (* The mode's hardware tasks grouped by (pe, type), each group in
+       descending task id: the order its mobility sum has always used. *)
+    let tasks =
+      Array.of_list
+        (List.filter (fun task -> hardware.(row.(task))) (List.init (Array.length row) Fun.id))
+    in
+    Array.sort
+      (fun a b ->
+        let c = Int.compare (key a) (key b) in
+        if c <> 0 then c else Int.compare b a)
+      tasks;
+    let lo = ref 0 in
+    while !lo < Array.length tasks do
+      let k = key tasks.(!lo) in
+      let hi = ref (!lo + 1) in
+      while !hi < Array.length tasks && key tasks.(!hi) = k do
+        incr hi
+      done;
+      counts.((mode * stride) + k) <- 1;
+      let size = !hi - !lo in
+      if size > 1 then begin
+        let group = Array.sub tasks !lo size in
+        let desired = max_window_overlap mob group in
+        if desired > 1 then begin
+          let sum =
+            Array.fold_left (fun acc task -> acc +. Mobility.mobility mob task) 0.0 group
+          in
+          wishes :=
+            {
+              avg = sum /. float_of_int size;
+              w_mode = mode;
+              w_pe = k / n_types;
+              w_ty = k mod n_types;
+              desired;
+            }
+            :: !wishes
+        end
+      end;
+      lo := !hi
     done
   done;
   (* ASIC cores are static: replicate the union of per-mode working sets
      into every mode (a type mapped to an ASIC anywhere exists always). *)
   for pe = 0 to n_pes - 1 do
-    let pe_rec = Arch.pe arch pe in
-    if Pe.kind pe_rec = Pe.Asic then begin
-      let union =
-        Array.fold_left
-          (fun acc per_pe ->
-            Int_map.union (fun _ a b -> Some (max a b)) acc per_pe.(pe))
-          Int_map.empty loaded
-      in
-      Array.iter (fun per_pe -> per_pe.(pe) <- union) loaded
-    end
+    if asic.(pe) then
+      for ty = 0 to n_types - 1 do
+        let key = (pe * n_types) + ty in
+        let union = ref 0 in
+        for mode = 0 to n_modes - 1 do
+          union := max !union counts.((mode * stride) + key)
+        done;
+        for mode = 0 to n_modes - 1 do
+          counts.((mode * stride) + key) <- !union
+        done
+      done
   done;
-  let area_of_map pe m =
-    Int_map.fold
-      (fun ty_id count acc -> acc +. (float_of_int count *. type_area spec ~pe ~ty_id))
-      m 0.0
+  (* Loaded area of one (mode, PE): ascending type id, absent types
+     skipped. *)
+  let mode_area mode pe =
+    let base = (mode * stride) + (pe * n_types) in
+    let acc = ref 0.0 in
+    for ty = 0 to n_types - 1 do
+      let count = counts.(base + ty) in
+      if count > 0 then acc := !acc +. (float_of_int count *. area pe ty)
+    done;
+    !acc
   in
   let pe_area_used pe =
-    let pe_rec = Arch.pe arch pe in
-    if not (Pe.is_hardware pe_rec) then 0.0
-    else
-      Array.fold_left
-        (fun acc per_pe -> Float.max acc (area_of_map pe per_pe.(pe)))
-        0.0 loaded
+    if not hardware.(pe) then 0.0
+    else begin
+      let acc = ref 0.0 in
+      for mode = 0 to n_modes - 1 do
+        acc := Float.max !acc (mode_area mode pe)
+      done;
+      !acc
+    end
   in
   (* Grant extra instances lowest-mobility wishes first while the area
      constraint holds. *)
-  let sorted_wishes = List.sort compare !wishes in
   List.iter
-    (fun (_, mode, pe, ty_id, desired) ->
-      let pe_rec = Arch.pe arch pe in
-      let capacity = Pe.area_capacity pe_rec in
-      let unit_area = type_area spec ~pe ~ty_id in
-      let raise_count per_pe =
-        per_pe.(pe) <-
-          Int_map.update ty_id
-            (function Some c -> Some (c + 1) | None -> Some 1)
-            per_pe.(pe)
-      in
-      let current () = Option.value ~default:0 (Int_map.find_opt ty_id loaded.(mode).(pe)) in
+    (fun w ->
+      let capacity = Pe.area_capacity (Arch.pe arch w.w_pe) in
+      let unit_area = area w.w_pe w.w_ty in
+      let key = (w.w_pe * n_types) + w.w_ty in
       let fits_after_raise () =
         if unit_area <= 0.0 then true
-        else if Pe.kind pe_rec = Pe.Asic then pe_area_used pe +. unit_area <= capacity +. 1e-9
-        else area_of_map pe loaded.(mode).(pe) +. unit_area <= capacity +. 1e-9
+        else if asic.(w.w_pe) then pe_area_used w.w_pe +. unit_area <= capacity +. 1e-9
+        else mode_area w.w_mode w.w_pe +. unit_area <= capacity +. 1e-9
       in
-      let rec grow () =
-        if current () < desired && fits_after_raise () then begin
-          if Pe.kind pe_rec = Pe.Asic then Array.iter raise_count loaded
-          else raise_count loaded.(mode);
-          grow ()
-        end
-      in
-      grow ())
-    sorted_wishes;
+      while counts.((w.w_mode * stride) + key) < w.desired && fits_after_raise () do
+        if asic.(w.w_pe) then
+          for mode = 0 to n_modes - 1 do
+            let cell = (mode * stride) + key in
+            counts.(cell) <- counts.(cell) + 1
+          done
+        else
+          let cell = (w.w_mode * stride) + key in
+          counts.(cell) <- counts.(cell) + 1
+      done)
+    (List.sort compare_wish !wishes);
   let area_used = Array.init n_pes pe_area_used in
   let area_excess =
     Array.init n_pes (fun pe ->
-        let pe_rec = Arch.pe arch pe in
-        if Pe.is_hardware pe_rec then
-          Float.max 0.0 (area_used.(pe) -. Pe.area_capacity pe_rec)
+        if hardware.(pe) then
+          Float.max 0.0 (area_used.(pe) -. Pe.area_capacity (Arch.pe arch pe))
         else 0.0)
   in
-  { arch; loaded; area_used; area_excess }
+  (* The mode's triples over the PEs [keep] selects. *)
+  let triples mode keep =
+    let base = mode * stride in
+    let n = ref 0 in
+    for key = 0 to stride - 1 do
+      if counts.(base + key) > 0 && keep (key / n_types) then incr n
+    done;
+    let cores = Array.make (3 * !n) 0 in
+    let k = ref 0 in
+    for key = 0 to stride - 1 do
+      let count = counts.(base + key) in
+      if count > 0 && keep (key / n_types) then begin
+        cores.(!k) <- key / n_types;
+        cores.(!k + 1) <- key mod n_types;
+        cores.(!k + 2) <- count;
+        k := !k + 3
+      end
+    done;
+    cores
+  in
+  {
+    arch;
+    static_cores = triples 0 (fun pe -> asic.(pe));
+    mode_cores = Array.init n_modes (fun mode -> triples mode (fun pe -> not asic.(pe)));
+    area_used;
+    area_excess;
+  }
+
+let static_cores t = t.static_cores
+let mode_cores t ~mode = t.mode_cores.(mode)
+
+let int_arrays_equal x y =
+  let n = Array.length x in
+  n = Array.length y
+  &&
+  let rec eq i = i >= n || (x.(i) = y.(i) && eq (i + 1)) in
+  eq 0
+
+let same_signature a b ~mode =
+  int_arrays_equal a.static_cores b.static_cores
+  && int_arrays_equal a.mode_cores.(mode) b.mode_cores.(mode)
 
 let instances t ~mode ~pe ~ty =
-  Option.value ~default:0 (Int_map.find_opt ty t.loaded.(mode).(pe))
+  let s =
+    if Pe.kind (Arch.pe t.arch pe) = Pe.Asic then t.static_cores else t.mode_cores.(mode)
+  in
+  let rec search lo hi =
+    if lo >= hi then 0
+    else
+      let mid = (lo + hi) / 2 in
+      let p = s.(3 * mid) and y = s.((3 * mid) + 1) in
+      if p = pe && y = ty then s.((3 * mid) + 2)
+      else if p < pe || (p = pe && y < ty) then search (mid + 1) hi
+      else search lo mid
+  in
+  search 0 (Array.length s / 3)
 
 let area_used t ~pe = t.area_used.(pe)
 let area_excess t ~pe = t.area_excess.(pe)
@@ -161,5 +256,4 @@ let excess_ratio_sum t =
     t.area_excess;
   !acc
 
-let loaded_types t ~mode ~pe = Int_map.bindings t.loaded.(mode).(pe)
 let area_feasible t = Array.for_all (fun e -> e <= 1e-9) t.area_excess

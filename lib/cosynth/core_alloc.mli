@@ -10,7 +10,20 @@
     are allocated to types whose tasks can run in parallel (overlapping
     ASAP–ALAP execution windows), lowest-mobility types first, as long as
     the area constraint allows — increasing exploitable parallelism and,
-    under DVS, the slack available for voltage scaling. *)
+    under DVS, the slack available for voltage scaling.
+
+    The allocation reads the compiled per-mode task-type and
+    per-(PE, type) core-area tables of {!Spec.compiled} and counts
+    instances in a dense per-domain scratch table.  What it returns is
+    sparse — the static ASIC cores once and the FPGA cores per mode, as
+    flat int triples — so an evaluation cached with its allocation holds
+    three ints per loaded core type (DESIGN.md §10).
+
+    Ties and float sums follow one fixed order, which every result
+    depends on bit for bit: a type's average mobility sums its tasks in
+    descending task id; wishes rank on (average mobility, mode, PE, type,
+    desired count); a window finish sorts before a start at equal times;
+    area sums run in ascending type id over loaded types only. *)
 
 type t
 
@@ -37,9 +50,19 @@ val excess_ratio_sum : t -> float
 (** Σ_π excess/capacity over violating hardware PEs — the area penalty's
     raw magnitude. *)
 
-val loaded_types : t -> mode:int -> pe:int -> (int * int) list
-(** [(type id, instance count)] loaded on the PE during the mode
-    (FPGA: the mode's working set; ASIC: the static set), ascending by
-    type id. *)
+val static_cores : t -> int array
+(** The ASIC cores, the same in every mode: flat [(pe, type id, count)]
+    triples ascending by (pe, type id), counts [>= 1].  Shared; callers
+    must not mutate it. *)
+
+val mode_cores : t -> mode:int -> int array
+(** The FPGA cores loaded during the mode (its working set), in the
+    same triple layout.  With {!static_cores} it is everything a mode's
+    schedule depends on from the allocation, so the two together form
+    the suffix of the per-mode cache key.  Shared; callers must not
+    mutate it. *)
+
+val same_signature : t -> t -> mode:int -> bool
+(** Whether two allocations load the same cores during the mode. *)
 
 val area_feasible : t -> bool

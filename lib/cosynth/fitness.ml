@@ -224,15 +224,15 @@ let mobility_key ~mode row = Array.append [| mode |] row
    instance signature must be part of the key because core allocation is
    global: a mutation in one mode can change the instances granted to
    another (shared area, ASIC replication). *)
-let eval_key ~fingerprint ~arch ~alloc ~mode row =
-  let signature = ref [] in
-  for pe = Arch.n_pes arch - 1 downto 0 do
-    if Pe.is_hardware (Arch.pe arch pe) then
-      List.iter
-        (fun (ty, count) -> signature := pe :: ty :: count :: !signature)
-        (Core_alloc.loaded_types alloc ~mode ~pe)
-  done;
-  Array.concat [ [| mode |]; fingerprint; row; Array.of_list !signature ]
+let eval_key ~fingerprint ~alloc ~mode row =
+  Array.concat
+    [
+      [| mode |];
+      fingerprint;
+      row;
+      Core_alloc.static_cores alloc;
+      Core_alloc.mode_cores alloc ~mode;
+    ]
 
 (* Everything downstream of the per-mode triples: timing violations,
    powers averaged under the mode probabilities, penalty factors and the
@@ -332,7 +332,7 @@ let assemble config spec mapping ~alloc ~mobilities ~schedules ~scalings ~mode_p
 
 let scaling_of config ?workspace ?dispatch ~graph ~arch ~tech ~schedule () =
   match config.dvs with
-  | No_dvs -> Scaling.nominal ?workspace ?dispatch ~graph ~arch ~tech ~schedule ()
+  | No_dvs -> Scaling.nominal ?dispatch ~graph ~arch ~tech ~schedule ()
   | Dvs scaling_config ->
     Scaling.run ~config:scaling_config ?workspace ?dispatch ~graph ~arch ~tech
       ~schedule ()
@@ -387,7 +387,7 @@ let evaluate_mapping config spec mapping =
   let fingerprint = config_fingerprint config in
   let keys =
     Array.init n_modes (fun mode ->
-        eval_key ~fingerprint ~arch ~alloc ~mode rows.(mode))
+        eval_key ~fingerprint ~alloc ~mode rows.(mode))
   in
   let cached = Array.map (Memo.find ~pin:true eval_cache) keys in
   Array.iter
@@ -491,7 +491,7 @@ let evaluate_mapping_reference config spec mapping =
    run the full compiled per-mode path.  Core allocation is global, so
    it is always recomputed and the reuse of a clean mode's triple is
    additionally guarded by its core-instance signature
-   ([Core_alloc.loaded_types], the same dependency [eval_key] encodes):
+   ([Core_alloc.same_signature], the dependency [eval_key] encodes):
    when the signature moved, the mode is promoted to dirty.  Falls back
    to [evaluate_mapping] whenever more than half the modes are dirty —
    the per-mode caches make the full path nearly as cheap, and a narrow
@@ -553,19 +553,12 @@ let evaluate_mapping_delta config spec parent ~dirty mapping =
     (* Allocation is global: a dirty mode can shift the instances granted
        to a clean one.  Promote clean modes whose signature moved. *)
     for mode = 0 to n_modes - 1 do
-      if not dirty_modes.(mode) then begin
-        let moved = ref false in
-        for pe = 0 to Arch.n_pes arch - 1 do
-          if
-            Pe.is_hardware (Arch.pe arch pe)
-            && Core_alloc.loaded_types alloc ~mode ~pe
-               <> Core_alloc.loaded_types parent.alloc ~mode ~pe
-          then moved := true
-        done;
-        if !moved then begin
-          dirty_modes.(mode) <- true;
-          incr n_dirty
-        end
+      if
+        (not dirty_modes.(mode))
+        && not (Core_alloc.same_signature alloc parent.alloc ~mode)
+      then begin
+        dirty_modes.(mode) <- true;
+        incr n_dirty
       end
     done;
     if 2 * !n_dirty > n_modes then begin
@@ -579,7 +572,7 @@ let evaluate_mapping_delta config spec parent ~dirty mapping =
       let keys =
         Array.init n_modes (fun mode ->
             if dirty_modes.(mode) then
-              Some (eval_key ~fingerprint ~arch ~alloc ~mode rows.(mode))
+              Some (eval_key ~fingerprint ~alloc ~mode rows.(mode))
             else None)
       in
       let cached =

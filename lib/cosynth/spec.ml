@@ -27,10 +27,15 @@ type domain_caches = {
    per-mode memo caches are one slot per domain, because [Memo.t] is
    not thread-safe: a domain appends its slot on first use and after
    that touches only its own.  The slots live here rather than in
-   domain-local storage, so they die with the specification. *)
+   domain-local storage, so they die with the specification.  The
+   type and area tables feed core allocation, which reads a task's type
+   id and a core's area once per task on every evaluation. *)
 type compiled = {
   routes : Mm_sched.Comm_mapping.table;
   dispatch : Tech_lib.dispatch;
+  n_types : int;
+  task_types : int array array;  (** Per mode: task -> type id. *)
+  core_areas : float array;  (** [pe * n_types + ty] -> core area, 0 when absent. *)
   caches : domain_caches list Atomic.t;
 }
 
@@ -101,9 +106,28 @@ let compile t =
       (fun ty acc -> max acc (Mm_taskgraph.Task_type.id ty + 1))
       (Omsm.all_task_types t.omsm) 0
   in
+  let n_pes = Arch.n_pes t.arch in
+  let task_types =
+    Array.init (Omsm.n_modes t.omsm) (fun mode ->
+        let graph = Mode.graph (Omsm.mode t.omsm mode) in
+        Array.init (Graph.n_tasks graph) (fun i ->
+            Mm_taskgraph.Task_type.id (Task.ty (Graph.task graph i))))
+  in
+  let core_areas = Array.make (n_pes * n_types) 0.0 in
+  Int_map.iter
+    (fun ty_id ty ->
+      for pe = 0 to n_pes - 1 do
+        match Tech_lib.find t.tech ~ty ~pe:(Arch.pe t.arch pe) with
+        | Some impl -> core_areas.((pe * n_types) + ty_id) <- impl.Tech_lib.area
+        | None -> ()
+      done)
+    t.types_by_id;
   {
     routes = Mm_sched.Comm_mapping.table t.arch;
-    dispatch = Tech_lib.dispatch t.tech ~n_types ~n_pes:(Arch.n_pes t.arch);
+    dispatch = Tech_lib.dispatch t.tech ~n_types ~n_pes;
+    n_types;
+    task_types;
+    core_areas;
     caches = Atomic.make [];
   }
 
@@ -120,6 +144,13 @@ let compiled t =
 
 let routes c = c.routes
 let dispatch c = c.dispatch
+let n_types c = c.n_types
+let task_types c mode = c.task_types.(mode)
+
+let core_area c ~pe ~ty =
+  let i = (pe * c.n_types) + ty in
+  if pe < 0 || ty < 0 || ty >= c.n_types || i >= Array.length c.core_areas then 0.0
+  else c.core_areas.(i)
 
 (* Only the owning domain ever adds its slot, so a lost CAS just means
    another domain appended first: retry on the new list. *)
@@ -170,11 +201,3 @@ let task_at t i =
   Graph.task (Mode.graph (Omsm.mode t.omsm pos.mode)) pos.task
 
 let type_of_id t ty_id = Int_map.find_opt ty_id t.types_by_id
-
-let core_area t ~pe ~ty_id =
-  match type_of_id t ty_id with
-  | None -> 0.0
-  | Some ty -> (
-    match Tech_lib.find t.tech ~ty ~pe:(Arch.pe t.arch pe) with
-    | Some impl -> impl.Tech_lib.area
-    | None -> 0.0)

@@ -24,10 +24,12 @@ val tech : t -> Mm_arch.Tech_lib.t
 type compiled
 (** The compile-once evaluation context (DESIGN.md §10): the
     architecture's route table, the technology library's dense dispatch
-    table, and the per-mode memo caches of the fitness pipeline —
-    everything mapping-independent, hoisted out of the per-candidate
-    path.  The caches are one slot per domain held in this record, so
-    they become unreachable together with the specification. *)
+    table, the per-mode task-type and per-(PE, type) core-area tables
+    that core allocation reads, and the per-mode memo caches of the
+    fitness pipeline — everything mapping-independent, hoisted out of
+    the per-candidate path.  The caches are one slot per domain held in
+    this record, so they become unreachable together with the
+    specification. *)
 
 val compiled : t -> compiled
 (** The context of this specification, built on first use and memoized
@@ -37,6 +39,18 @@ val compiled : t -> compiled
 
 val routes : compiled -> Mm_sched.Comm_mapping.table
 val dispatch : compiled -> Mm_arch.Tech_lib.dispatch
+
+val n_types : compiled -> int
+(** One past the largest task-type id appearing in the OMSM. *)
+
+val task_types : compiled -> int -> int array
+(** [task_types c mode]: the type id of every task of the mode, indexed
+    by task id.  Shared; callers must not mutate it. *)
+
+val core_area : compiled -> pe:int -> ty:int -> float
+(** Core area the type occupies on the PE; 0 when the pair has no
+    implementation, the PE is software, or the type does not appear in
+    the OMSM.  One array load. *)
 
 val mode_mobility_cache : compiled -> Mm_taskgraph.Mobility.t Mm_parallel.Memo.t
 (** The calling domain's per-mode mobility cache for this
@@ -74,7 +88,3 @@ val task_at : t -> int -> Mm_taskgraph.Task.t
 
 val type_of_id : t -> int -> Mm_taskgraph.Task_type.t option
 (** Look a task type up by its id (types appearing in the OMSM only). *)
-
-val core_area : t -> pe:int -> ty_id:int -> float
-(** Core area the type occupies on the PE; 0 when the pair has no
-    implementation (or the PE is software). *)

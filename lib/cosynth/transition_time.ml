@@ -9,25 +9,29 @@ type entry = {
   violation : float;
 }
 
+(* Walks the destination mode's FPGA cores once, PE by PE in ascending
+   id; each FPGA sums the area of the cores it must load in ascending
+   type id, already-loaded types contributing their zero terms. *)
 let reconfig_time spec alloc ~src ~dst =
   let arch = Spec.arch spec in
-  List.fold_left
-    (fun acc pe_rec ->
-      if not (Pe.is_reconfigurable pe_rec) then acc
-      else
-        let pe = Pe.id pe_rec in
-        let src_loaded = Core_alloc.loaded_types alloc ~mode:src ~pe in
-        let dst_loaded = Core_alloc.loaded_types alloc ~mode:dst ~pe in
-        let count_in l ty = Option.value ~default:0 (List.assoc_opt ty l) in
-        let area_to_load =
-          List.fold_left
-            (fun acc (ty, dst_count) ->
-              let missing = max 0 (dst_count - count_in src_loaded ty) in
-              acc +. (float_of_int missing *. Spec.core_area spec ~pe ~ty_id:ty))
-            0.0 dst_loaded
-        in
-        acc +. (area_to_load *. Pe.reconfig_time_per_area pe_rec))
-    0.0 (Arch.pes arch)
+  let ctx = Spec.compiled spec in
+  let loaded = Core_alloc.mode_cores alloc ~mode:dst in
+  let n = Array.length loaded in
+  let k = ref 0 in
+  let time = ref 0.0 in
+  for pe = 0 to Arch.n_pes arch - 1 do
+    let area_to_load = ref 0.0 in
+    while !k < n && loaded.(!k) = pe do
+      let ty = loaded.(!k + 1) and dst_count = loaded.(!k + 2) in
+      let missing = max 0 (dst_count - Core_alloc.instances alloc ~mode:src ~pe ~ty) in
+      area_to_load := !area_to_load +. (float_of_int missing *. Spec.core_area ctx ~pe ~ty);
+      k := !k + 3
+    done;
+    let pe_rec = Arch.pe arch pe in
+    if Pe.is_reconfigurable pe_rec then
+      time := !time +. (!area_to_load *. Pe.reconfig_time_per_area pe_rec)
+  done;
+  !time
 
 let compute spec alloc =
   List.map

@@ -43,9 +43,9 @@ let deadline_of_task graph period task_id =
   | Some d -> Float.min d period
 
 (* Fine-grained: one span per voltage-scaled mode ([nominal] passes
-   through here too, with scaling disabled on both rails).  Shared by the
-   flat fast path and the seed reference so the bench harness can
-   attribute per-phase time to either implementation. *)
+   through here too).  Shared by the flat fast path and the seed
+   reference so the bench harness can attribute per-phase time to
+   either implementation. *)
 let p_run = Mm_obs.Probe.create ~fine:true "dvs/scale"
 
 (* ------------------------------------------------------------------ *)
@@ -688,28 +688,22 @@ type fdag = {
   seg_sites : (int * int) list;
 }
 
+(* Nominal dynamic power of a scheduled task: one load from the dense
+   dispatch table when given, a technology-library lookup otherwise. *)
+let task_power ?dispatch ~graph ~arch ~tech (schedule : Schedule.t) task_id =
+  let ty = Task.ty (Graph.task graph task_id) in
+  let pe_id = Schedule.pe_of_slot schedule.Schedule.task_slots.(task_id) in
+  match dispatch with
+  | Some dispatch -> (
+    match Tech_lib.dispatch_find dispatch ~ty_id:(Task_type.id ty) ~pe_id with
+    | Some impl -> impl.Tech_lib.dyn_power
+    | None -> raise Not_found)
+  | None -> (Tech_lib.find_exn tech ~ty ~pe:(Arch.pe arch pe_id)).Tech_lib.dyn_power
+
 let build_flat ws ~config ~graph ~arch ~tech ~dispatch ~(schedule : Schedule.t) =
   let n_tasks = Graph.n_tasks graph in
   let period = schedule.Schedule.period in
-  let power_of =
-    match dispatch with
-    | Some dispatch ->
-      fun task_id ->
-        let task = Graph.task graph task_id in
-        let pe_id = Schedule.pe_of_slot schedule.Schedule.task_slots.(task_id) in
-        (match
-           Tech_lib.dispatch_find dispatch
-             ~ty_id:(Task_type.id (Task.ty task))
-             ~pe_id
-         with
-        | Some impl -> impl.Tech_lib.dyn_power
-        | None -> raise Not_found)
-    | None ->
-      fun task_id ->
-        let task = Graph.task graph task_id in
-        let pe = Arch.pe arch (Schedule.pe_of_slot schedule.Schedule.task_slots.(task_id)) in
-        (Tech_lib.find_exn tech ~ty:(Task.ty task) ~pe).Tech_lib.dyn_power
-  in
+  let power_of = task_power ?dispatch ~graph ~arch ~tech schedule in
   let scaled_hw_pe pe =
     config.scale_hardware && Pe.is_hardware pe && Pe.is_dvs_enabled pe
   in
@@ -1234,20 +1228,7 @@ let run ?(config = default_config) ?workspace ?dispatch ~graph ~arch ~tech ~sche
       schedule.Schedule.comm_slots
   in
   (* Prorate segment energies onto their running tasks. *)
-  let power_of task_id =
-    let task = Graph.task graph task_id in
-    let pe = Arch.pe arch (Schedule.pe_of_slot schedule.Schedule.task_slots.(task_id)) in
-    match dispatch with
-    | Some dispatch -> (
-      match
-        Tech_lib.dispatch_find dispatch
-          ~ty_id:(Task_type.id (Task.ty task))
-          ~pe_id:(Pe.id pe)
-      with
-      | Some impl -> impl.Tech_lib.dyn_power
-      | None -> raise Not_found)
-    | None -> (Tech_lib.find_exn tech ~ty:(Task.ty task) ~pe).Tech_lib.dyn_power
-  in
+  let power_of = task_power ?dispatch ~graph ~arch ~tech schedule in
   List.iter
     (fun hs ->
       let seg = hs.segment in
@@ -1281,7 +1262,50 @@ let run ?(config = default_config) ?workspace ?dispatch ~graph ~arch ~tech ~sche
     stretched_finish;
   }
 
-let nominal ?workspace ?dispatch ~graph ~arch ~tech ~schedule () =
-  run
-    ~config:{ scale_software = false; scale_hardware = false; strategy = Greedy_gradient }
-    ?workspace ?dispatch ~graph ~arch ~tech ~schedule ()
+(* The no-DVS evaluation reads its answer off the schedule.  With no
+   unit scaled, [run]'s forward pass over the unit DAG has the list
+   schedule itself as its fixpoint: [List_scheduler] starts every slot
+   at the [Float.max] of its resource's last finish and its data (or
+   link) arrivals — the very predecessor sets the pass maxes over — and
+   with positive durations a resource chain sorted by start is the
+   placement order.  So every finish is [Schedule.finish], every energy
+   is power × duration, and no DAG is built.  [nominal_reference] stays
+   the oracle; test_dvs.ml checks the fixpoint claim itself. *)
+let nominal ?dispatch ~graph ~arch ~tech ~(schedule : Schedule.t) () =
+  Mm_obs.Probe.run p_run @@ fun () ->
+  let n_tasks = Graph.n_tasks graph in
+  let period = schedule.Schedule.period in
+  let task_voltages = Array.make n_tasks nan in
+  let task_energy = Array.make n_tasks 0.0 in
+  let stretched_finish = Array.make n_tasks 0.0 in
+  let feasible = ref true in
+  Array.iter
+    (fun (slot : Schedule.task_slot) ->
+      let task_id = slot.Schedule.task in
+      let pe = Arch.pe arch (Schedule.pe_of_slot slot) in
+      let finish = Schedule.finish slot in
+      task_energy.(task_id) <-
+        task_power ?dispatch ~graph ~arch ~tech schedule task_id *. slot.Schedule.duration;
+      stretched_finish.(task_id) <- finish;
+      task_voltages.(task_id) <-
+        (match Pe.rail pe with Some r -> Voltage.vmax r | None -> nan);
+      if not (finish <= deadline_of_task graph period task_id +. 1e-9) then
+        feasible := false)
+    schedule.Schedule.task_slots;
+  let comm_energy =
+    List.fold_left
+      (fun acc (c : Schedule.comm_slot) ->
+        if not (Schedule.comm_finish c <= period +. 1e-9) then feasible := false;
+        acc +. c.Schedule.energy)
+      0.0 schedule.Schedule.comm_slots
+  in
+  let total_task_energy = Array.fold_left ( +. ) 0.0 task_energy in
+  {
+    feasible = !feasible;
+    task_voltages;
+    task_energy;
+    hw_segments = [];
+    comm_energy;
+    total_dyn_energy = total_task_energy +. comm_energy;
+    stretched_finish;
+  }

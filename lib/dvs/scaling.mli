@@ -101,7 +101,6 @@ val run :
     O(log n) [Tech_lib.find_exn] power lookups with O(1) table hits. *)
 
 val nominal :
-  ?workspace:workspace ->
   ?dispatch:Mm_arch.Tech_lib.dispatch ->
   graph:Mm_taskgraph.Graph.t ->
   arch:Mm_arch.Architecture.t ->
@@ -109,9 +108,21 @@ val nominal :
   schedule:Mm_sched.Schedule.t ->
   unit ->
   t
-(** The no-DVS evaluation: every activity at nominal voltage.  Shares the
-    energy-accounting code with {!run} so DVS and non-DVS experiments are
-    directly comparable. *)
+(** The no-DVS evaluation: every activity at nominal voltage, with the
+    same energy accounting as {!run} so DVS and non-DVS experiments are
+    directly comparable.
+
+    Precondition: [schedule] is a list schedule, as
+    {!Mm_sched.List_scheduler.run} or [run_reference] produce — every
+    slot starts at the latest of its resource's previous finish and its
+    data arrivals, and every task duration is positive.  The unit DAG's
+    forward pass then reproduces the schedule exactly, so [nominal]
+    reads finishes, energies and the deadline check straight off the
+    task and communication slots in one pass, builds no DAG, and
+    returns no [hw_segments].  Bit-identical to {!nominal_reference}
+    under the precondition (property-tested in [test_dvs.ml]); a
+    hand-built schedule that delays a slot past that bound may differ.
+    [dispatch] replaces the [Tech_lib.find_exn] power lookups. *)
 
 val run_reference :
   ?config:config ->

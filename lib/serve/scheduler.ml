@@ -19,8 +19,13 @@ let spawn t body =
 
 let request_cancel handle =
   match handle.resume with
-  | Finished -> ()
-  | Start _ | Suspended _ -> handle.cancel_requested <- true
+  | Finished -> true
+  | Suspended _ ->
+    handle.cancel_requested <- true;
+    true
+  | Start _ ->
+    handle.cancel_requested <- true;
+    false
 
 let finished handle =
   match handle.resume with Finished -> true | Start _ | Suspended _ -> false

@@ -31,8 +31,13 @@ val spawn : t -> (yield:(unit -> unit) -> unit) -> handle
     return — the body is simply dropped) and must call [yield] only
     from within its own extent. *)
 
-val request_cancel : handle -> unit
-(** Idempotent; a no-op once the body has finished. *)
+val request_cancel : handle -> bool
+(** Idempotent; a no-op once the body has finished.  Answers whether
+    the body has started.  A started body observes the cancellation at
+    its next resume (or has already finished) and records its own
+    terminal state; a body that never started is dropped by {!step}
+    without running, so the caller must record the cancellation
+    itself. *)
 
 val finished : handle -> bool
 

@@ -213,6 +213,31 @@ let finish_watch t conn job_id =
   | Some entry -> send conn (Protocol.Job_info (Protocol.view entry.Registry.job))
   | None -> ()
 
+let cancel t id =
+  match Registry.find t.registry id with
+  | None -> error "unknown-job" id
+  | Some entry ->
+    let job = entry.Registry.job in
+    if Job.terminal job.Job.state then
+      error "wrong-state"
+        (Printf.sprintf "%s is already %s" id (Job.state_to_string job.Job.state))
+    else begin
+      let started =
+        match Hashtbl.find_opt t.handles id with
+        | Some handle -> Scheduler.request_cancel handle
+        | None -> false
+      in
+      (* A body that never started never runs, so nothing would record
+         the cancellation — do it here.  That is every queued job, and a
+         rehydrated running or checkpointed one not resumed yet.  A
+         started body cancels itself at its next yield. *)
+      if not started then begin
+        Registry.cancel t.registry entry ~now:(now ());
+        Hashtbl.remove t.handles id
+      end;
+      Protocol.Done
+    end
+
 let handle_request t conn = function
   | Protocol.Ping -> send conn Protocol.Pong
   | Protocol.Shutdown ->
@@ -254,29 +279,7 @@ let handle_request t conn = function
     match Registry.find t.registry id with
     | None -> send conn (error "unknown-job" id)
     | Some entry -> send conn (Protocol.Job_info (Protocol.view entry.Registry.job)))
-  | Protocol.Cancel id -> (
-    match Registry.find t.registry id with
-    | None -> send conn (error "unknown-job" id)
-    | Some entry ->
-      let job = entry.Registry.job in
-      if Job.terminal job.Job.state then
-        send conn
-          (error "wrong-state"
-             (Printf.sprintf "%s is already %s" id
-                (Job.state_to_string job.Job.state)))
-      else begin
-        (match Hashtbl.find_opt t.handles id with
-        | Some handle -> Scheduler.request_cancel handle
-        | None -> ());
-        (* A queued body never runs, so nothing would record the
-           cancellation — do it here.  Running jobs cancel themselves at
-           their next yield. *)
-        if job.Job.state = Job.Queued then begin
-          Registry.cancel t.registry entry ~now:(now ());
-          Hashtbl.remove t.handles id
-        end;
-        send conn Protocol.Done
-      end)
+  | Protocol.Cancel id -> send conn (cancel t id)
   | Protocol.Watch id -> (
     match Registry.find t.registry id with
     | None -> send conn (error "unknown-job" id)
@@ -438,9 +441,7 @@ let reap t =
 
 (* --- main loop ---------------------------------------------------------- *)
 
-let run config =
-  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with
-  | Invalid_argument _ -> ());
+let create config =
   let registry = Registry.create ~state_dir:config.state_dir in
   let pool =
     if config.pool_jobs > 1 then
@@ -477,6 +478,16 @@ let run config =
     Log.info (fun () ->
         Printf.sprintf "mmsynthd: recovered %d in-flight job(s)"
           (List.length recovered));
+  t
+
+let registry t = t.registry
+let step t = Scheduler.step t.sched
+let close t = Option.iter Pool.shutdown t.pool
+
+let run config =
+  (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with
+  | Invalid_argument _ -> ());
+  let t = create config in
   t.listeners <-
     ((listen_unix config.socket_path, false)
     ::
@@ -493,7 +504,7 @@ let run config =
         (fun (fd, _) -> try Unix.close fd with Unix.Unix_error _ -> ())
         t.listeners;
       (try Sys.remove config.socket_path with Sys_error _ -> ());
-      Option.iter Pool.shutdown t.pool;
+      close t;
       if Fault.armed () then
         Log.info (fun () ->
             Printf.sprintf "mmsynthd: chaos injections: %s"
@@ -540,5 +551,5 @@ let run config =
     (* One generation slice of the front job per iteration keeps the
        loop responsive: socket latency is bounded by a single
        generation's evaluation time. *)
-    ignore (Scheduler.step t.sched : bool)
+    ignore (step t : bool)
   done

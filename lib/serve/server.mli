@@ -70,6 +70,29 @@ val synthesis_config : Job.options -> Mm_cosynth.Synthesis.config
     one {!Mm_cosynth.Synthesis.config_fingerprint}, which is what lets a
     restarted daemon resume a snapshot taken by its predecessor). *)
 
+type t
+(** A daemon's job side: the registry, the scheduler with one coroutine
+    per live job, and the shared pool — everything but the sockets. *)
+
+val create : config -> t
+(** Open the state directory, start the pool, and {!Registry.rehydrate}
+    and re-queue every non-terminal job.  Opens no socket. *)
+
+val registry : t -> Registry.t
+
+val step : t -> bool
+(** Run one generation slice of the front job ({!Scheduler.step}). *)
+
+val cancel : t -> string -> Protocol.response
+(** The [cancel] request: [Done], or a typed error for an unknown or
+    already terminal job.  A job whose body has not started — queued,
+    or rehydrated and not resumed yet — is recorded Cancelled at once
+    (its body will never run); a running body cancels itself at its
+    next yield. *)
+
+val close : t -> unit
+(** Shut the pool down. *)
+
 val run : config -> unit
 (** Serve until a [shutdown] request.  Installs nothing but a [SIGPIPE]
     ignore; the caller owns daemonisation. *)

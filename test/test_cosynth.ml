@@ -60,10 +60,13 @@ let test_spec_rejects_unmappable () =
   | _ -> Alcotest.fail "unmappable task accepted"
 
 let test_spec_core_area () =
-  let spec = two_mode_spec () in
-  Alcotest.(check (float 1e-9)) "A on ASIC" 100.0 (Spec.core_area spec ~pe:1 ~ty_id:0);
-  Alcotest.(check (float 1e-9)) "sw has no area" 0.0 (Spec.core_area spec ~pe:0 ~ty_id:0);
-  Alcotest.(check (float 1e-9)) "unknown type" 0.0 (Spec.core_area spec ~pe:1 ~ty_id:99)
+  let ctx = Spec.compiled (two_mode_spec ()) in
+  Alcotest.(check (float 1e-9)) "A on ASIC" 100.0 (Spec.core_area ctx ~pe:1 ~ty:0);
+  Alcotest.(check (float 1e-9)) "sw has no area" 0.0 (Spec.core_area ctx ~pe:0 ~ty:0);
+  Alcotest.(check (float 1e-9)) "unknown type" 0.0 (Spec.core_area ctx ~pe:1 ~ty:99);
+  Alcotest.(check (float 1e-9)) "unknown PE" 0.0 (Spec.core_area ctx ~pe:9 ~ty:0);
+  Alcotest.(check (array int)) "task types of mode 1" [| 0; 1; 1; 2 |]
+    (Spec.task_types ctx 1)
 
 (* --- Mapping ----------------------------------------------------------------- *)
 

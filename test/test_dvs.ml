@@ -446,7 +446,9 @@ let random_platform rng =
   let dispatch = Tech_lib.dispatch tech ~n_types:3 ~n_pes in
   (arch, tech, dispatch)
 
-let random_graph rng =
+(* [zero_data_pct] makes that share of the edges carry no data (drawn
+   only when positive, so the default leaves the random stream alone). *)
+let random_graph ?(zero_data_pct = 0) rng =
   let n = 1 + Mm_util.Prng.int rng 7 in
   let tys = [| F.ty_a; F.ty_b; F.ty_c |] in
   let tasks =
@@ -461,8 +463,13 @@ let random_graph rng =
   let edges = ref [] in
   for i = 0 to n - 1 do
     for j = i + 1 to n - 1 do
-      if Mm_util.Prng.int rng 100 < 35 then
-        edges := { Graph.src = i; dst = j; data = Mm_util.Prng.float rng 2.0 } :: !edges
+      if Mm_util.Prng.int rng 100 < 35 then begin
+        let data =
+          if zero_data_pct > 0 && Mm_util.Prng.int rng 100 < zero_data_pct then 0.0
+          else Mm_util.Prng.float rng 2.0
+        in
+        edges := { Graph.src = i; dst = j; data } :: !edges
+      end
     done
   done;
   Graph.make ~name:"rand" ~tasks ~edges:!edges
@@ -566,26 +573,82 @@ let test_heap_matches_reference_single_slot () =
         [ Scaling.Greedy_gradient; Scaling.Even_slack ])
     [ 10e-3 (* zero slack *); 15e-3; 1.0 (* bottom level *); 5e-3 (* infeasible *) ]
 
+(* Random per-(PE, type) instance counts in 1–3. *)
+let random_instances rng arch =
+  let counts = Array.init (Arch.n_pes arch * 3) (fun _ -> 1 + Mm_util.Prng.int rng 3) in
+  fun ~pe ~ty -> counts.((pe * 3) + ty)
+
 let prop_nominal_matches_reference =
   QCheck.Test.make ~name:"flat nominal = reference nominal, float-bit"
-    ~count:(fuzz_count 100) QCheck.small_int (fun seed ->
+    ~count:(fuzz_count 100) QCheck.(int_bound 1_000_000) (fun seed ->
       let rng = Mm_util.Prng.create ~seed in
-      let arch, tech, _ = random_platform rng in
-      let graph = random_graph rng in
+      let arch, tech, dispatch = random_platform rng in
+      let graph = random_graph ~zero_data_pct:20 rng in
       let n_pes = Arch.n_pes arch in
       let mapping = Array.init (Graph.n_tasks graph) (fun _ -> Mm_util.Prng.int rng n_pes) in
       let sched =
         List_scheduler.run
           (List_scheduler.make_input ~mode_id:0 ~graph ~arch ~tech ~mapping
-             ~instances:(fun ~pe:_ ~ty:_ -> 1)
+             ~instances:(random_instances rng arch)
              ~period:(0.01 +. Mm_util.Prng.float rng 0.3)
              ())
       in
       let reference = Scaling.nominal_reference ~graph ~arch ~tech ~schedule:sched () in
-      let fast =
-        Scaling.nominal ~workspace:shared_ws ~graph ~arch ~tech ~schedule:sched ()
+      results_bit_identical reference
+        (Scaling.nominal ~graph ~arch ~tech ~schedule:sched ())
+      && results_bit_identical reference
+           (Scaling.nominal ~dispatch ~graph ~arch ~tech ~schedule:sched ()))
+
+(* The invariant [Scaling.nominal] stands on: with nothing scaled, the
+   reference's unit-DAG compaction of a list schedule is the schedule
+   itself — every task finishes at [Schedule.finish] bit for bit, and
+   its deadline verdict is the per-slot one — for both schedulers, every
+   priority policy, several core instances per type and zero-data
+   edges. *)
+let prop_nominal_reference_is_the_schedule =
+  QCheck.Test.make ~name:"reference nominal compaction = list schedule"
+    ~count:(fuzz_count 100) QCheck.(int_bound 1_000_000) (fun seed ->
+      let rng = Mm_util.Prng.create ~seed in
+      let arch, tech, _ = random_platform rng in
+      let graph = random_graph ~zero_data_pct:30 rng in
+      let n_pes = Arch.n_pes arch in
+      let mapping = Array.init (Graph.n_tasks graph) (fun _ -> Mm_util.Prng.int rng n_pes) in
+      let input =
+        List_scheduler.make_input ~mode_id:0 ~graph ~arch ~tech ~mapping
+          ~instances:(random_instances rng arch)
+          ~period:(0.005 +. Mm_util.Prng.float rng 0.3)
+          ()
       in
-      results_bit_identical reference fast)
+      let matches (sched : Schedule.t) =
+        let nominal = Scaling.nominal_reference ~graph ~arch ~tech ~schedule:sched () in
+        let finishes = Array.make (Graph.n_tasks graph) nan in
+        Array.iter
+          (fun (slot : Schedule.task_slot) ->
+            finishes.(slot.Schedule.task) <- Schedule.finish slot)
+          sched.Schedule.task_slots;
+        let period = sched.Schedule.period in
+        let per_slot =
+          Array.for_all
+            (fun (slot : Schedule.task_slot) ->
+              let bound =
+                match Mm_taskgraph.Task.deadline (Graph.task graph slot.Schedule.task) with
+                | None -> period
+                | Some d -> Float.min d period
+              in
+              Schedule.finish slot <= bound +. 1e-9)
+            sched.Schedule.task_slots
+          && List.for_all
+               (fun c -> Schedule.comm_finish c <= period +. 1e-9)
+               sched.Schedule.comm_slots
+        in
+        farray_bits_equal nominal.Scaling.stretched_finish finishes
+        && nominal.Scaling.feasible = per_slot
+      in
+      List.for_all
+        (fun policy ->
+          matches (List_scheduler.run ~policy input)
+          && matches (List_scheduler.run_reference ~policy input))
+        List_scheduler.[ Mobility_first; Critical_path_first; Topological ])
 
 (* --- Property: scaling never increases energy nor breaks deadlines -------- *)
 
@@ -660,6 +723,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_heap_matches_reference;
           QCheck_alcotest.to_alcotest prop_heap_matches_reference_zero_slack;
           QCheck_alcotest.to_alcotest prop_nominal_matches_reference;
+          QCheck_alcotest.to_alcotest prop_nominal_reference_is_the_schedule;
           Alcotest.test_case "single-slot degenerates" `Quick
             test_heap_matches_reference_single_slot;
         ] );

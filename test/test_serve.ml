@@ -480,7 +480,8 @@ let test_scheduler_cancel () =
         with Scheduler.Cancelled -> cancelled := true)
   in
   Alcotest.(check bool) "first slice ran" true (Scheduler.step sched);
-  Scheduler.request_cancel h;
+  Alcotest.(check bool) "running body reported started" true
+    (Scheduler.request_cancel h);
   while Scheduler.step sched do
     ()
   done;
@@ -490,7 +491,8 @@ let test_scheduler_cancel () =
   (* Cancel a queued body: it must never start. *)
   let started = ref false in
   let h = Scheduler.spawn sched (fun ~yield:_ -> started := true) in
-  Scheduler.request_cancel h;
+  Alcotest.(check bool) "queued body reported not started" false
+    (Scheduler.request_cancel h);
   while Scheduler.step sched do
     ()
   done;
@@ -815,6 +817,72 @@ let test_crash_resume_bit_identical () =
     resumed.Synthesis.generations;
   Alcotest.(check bool) "bit-identical power" true
     (feq (Synthesis.average_power resumed) (Synthesis.average_power direct))
+
+(* A restarted daemon re-queues a Running or Checkpointed job with a
+   body that has not started.  Cancelling it before its first slice
+   must still record the cancellation: the scheduler drops a body that
+   never started without running it, so nothing else would, and the job
+   would stay non-terminal — keeping its parsed spec and resuming on the
+   next restart. *)
+let test_cancel_rehydrated_before_first_slice () =
+  let dir = temp_dir "serve-cancel-rehydrated" in
+  let options = { small_options with Job.generations = 20 } in
+  let registry = Registry.create ~state_dir:dir in
+  let entry = submit_ok registry ~options () in
+  let id = entry.Registry.job.Job.id in
+  Registry.mark_running registry entry ~now:201.;
+  let sink0 =
+    Snapshot.synth_sink
+      ~path:(Registry.checkpoint_path registry entry)
+      ~spec:(live_spec entry) ~every:2 ()
+  in
+  let sink =
+    {
+      sink0 with
+      Synthesis.save =
+        (fun state ->
+          sink0.Synthesis.save state;
+          Registry.checkpointed registry entry ~now:202.);
+    }
+  in
+  let yields = ref 0 in
+  (try
+     ignore
+       (Synthesis.run ~config:(Server.synthesis_config options) ~checkpoint:sink
+          ~yield:(fun _ ->
+            incr yields;
+            if !yields >= 5 then raise Exit)
+          ~spec:(live_spec entry) ~seed:options.Job.seed ())
+   with Exit -> () (* the daemon dies mid-run *));
+  Alcotest.(check bool) "checkpointed before the restart" true
+    (entry.Registry.job.Job.state = Job.Checkpointed);
+  let server = Server.create { Server.default_config with Server.state_dir = dir } in
+  Fun.protect ~finally:(fun () -> Server.close server) @@ fun () ->
+  (match Server.cancel server id with
+  | Protocol.Done -> ()
+  | _ -> Alcotest.fail "cancel of a rehydrated job refused");
+  while Server.step server do
+    ()
+  done;
+  (match Registry.find (Server.registry server) id with
+  | Some e ->
+    Alcotest.(check bool) "registry says cancelled" true
+      (e.Registry.job.Job.state = Job.Cancelled);
+    Alcotest.(check bool) "parsed spec dropped" true (e.Registry.spec = None)
+  | None -> Alcotest.fail "job lost");
+  let meta =
+    Mm_io.Codec.read_file
+      (Filename.concat (Filename.concat (Filename.concat dir "jobs") id) "job.sexp")
+  in
+  Alcotest.(check bool) "job.sexp says cancelled" true (contains meta "cancelled");
+  let registry2 = Registry.create ~state_dir:dir in
+  Alcotest.(check int) "a second restart resumes nothing" 0
+    (List.length (Registry.rehydrate registry2));
+  match Registry.find registry2 id with
+  | Some e ->
+    Alcotest.(check bool) "still cancelled after the restart" true
+      (e.Registry.job.Job.state = Job.Cancelled)
+  | None -> Alcotest.fail "job lost across the restart"
 
 (* --- client backoff ----------------------------------------------------------- *)
 
@@ -1351,6 +1419,8 @@ let () =
             test_crash_resume_bit_identical;
           Alcotest.test_case "corrupt checkpoint falls back a generation" `Quick
             test_corrupt_checkpoint_falls_back;
+          Alcotest.test_case "cancel before the first slice after a restart" `Quick
+            test_cancel_rehydrated_before_first_slice;
         ] );
       ( "server",
         [
