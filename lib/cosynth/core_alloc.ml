@@ -218,17 +218,6 @@ let allocate spec mapping ~mobilities =
 let static_cores t = t.static_cores
 let mode_cores t ~mode = t.mode_cores.(mode)
 
-let int_arrays_equal x y =
-  let n = Array.length x in
-  n = Array.length y
-  &&
-  let rec eq i = i >= n || (x.(i) = y.(i) && eq (i + 1)) in
-  eq 0
-
-let same_signature a b ~mode =
-  int_arrays_equal a.static_cores b.static_cores
-  && int_arrays_equal a.mode_cores.(mode) b.mode_cores.(mode)
-
 let instances t ~mode ~pe ~ty =
   let s =
     if Pe.kind (Arch.pe t.arch pe) = Pe.Asic then t.static_cores else t.mode_cores.(mode)
@@ -243,6 +232,14 @@ let instances t ~mode ~pe ~ty =
       else search lo mid
   in
   search 0 (Array.length s / 3)
+
+let read_set t spec ~mode row =
+  let types = Spec.task_types (Spec.compiled spec) mode in
+  Array.mapi
+    (fun task pe ->
+      if Pe.is_hardware (Arch.pe t.arch pe) then max 1 (instances t ~mode ~pe ~ty:types.(task))
+      else 0)
+    row
 
 let area_used t ~pe = t.area_used.(pe)
 let area_excess t ~pe = t.area_excess.(pe)

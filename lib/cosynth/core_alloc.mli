@@ -57,12 +57,18 @@ val static_cores : t -> int array
 
 val mode_cores : t -> mode:int -> int array
 (** The FPGA cores loaded during the mode (its working set), in the
-    same triple layout.  With {!static_cores} it is everything a mode's
-    schedule depends on from the allocation, so the two together form
-    the suffix of the per-mode cache key.  Shared; callers must not
-    mutate it. *)
+    same triple layout.  Shared; callers must not mutate it. *)
 
-val same_signature : t -> t -> mode:int -> bool
-(** Whether two allocations load the same cores during the mode. *)
+val read_set : t -> Spec.t -> mode:int -> int array -> int array
+(** [read_set t spec ~mode row]: per task of the mode's mapping row, the
+    core-instance count the list scheduler sees for it —
+    [max 1 (instances t ~mode ~pe ~ty)] for a task on a hardware PE, 0
+    for a software task.  The scheduler reads the allocation through
+    exactly these counts, and nothing downstream of it (DVS, power)
+    reads the allocation at all, so with the row it determines the
+    mode's (schedule, scaling, power) triple: it is the suffix of the
+    per-mode cache key and the test for reusing a clean mode in delta
+    evaluation (DESIGN.md §10).  An ASIC core that only other modes'
+    tasks use does not appear in it.  Fresh array. *)
 
 val area_feasible : t -> bool

@@ -195,9 +195,9 @@ let compiled_mode_mobility spec ~routes ~dispatch row mode =
 
 (* Cache-key ingredients.  The per-mode caches answer (schedule,
    scaling, power) triples, which depend on the mode's mapping row, the
-   mode's granted core instances, the scheduler policy and the DVS
-   configuration — but not on weighting or penalties (those only shape
-   the factors computed from the triples). *)
+   core instances its hardware tasks see, the scheduler policy and the
+   DVS configuration — but not on weighting or penalties (those only
+   shape the factors computed from the triples). *)
 let config_fingerprint config =
   let policy =
     match config.scheduler_policy with
@@ -220,19 +220,13 @@ let config_fingerprint config =
 
 let mobility_key ~mode row = Array.append [| mode |] row
 
-(* (mode, config fingerprint, row, granted instances of the mode).  The
-   instance signature must be part of the key because core allocation is
-   global: a mutation in one mode can change the instances granted to
-   another (shared area, ASIC replication). *)
-let eval_key ~fingerprint ~alloc ~mode row =
-  Array.concat
-    [
-      [| mode |];
-      fingerprint;
-      row;
-      Core_alloc.static_cores alloc;
-      Core_alloc.mode_cores alloc ~mode;
-    ]
+(* (mode, config fingerprint, row, read set).  The read set
+   ([Core_alloc.read_set]) is the part of the global allocation the
+   triple depends on: the instance count each hardware task of the mode
+   is scheduled against.  Cores only other modes use stay out of the
+   key, so a mutation that grows an ASIC elsewhere leaves it alone. *)
+let eval_key ~fingerprint ~read_set ~mode row =
+  Array.concat [ [| mode |]; fingerprint; row; read_set ]
 
 (* Everything downstream of the per-mode triples: timing violations,
    powers averaged under the mode probabilities, penalty factors and the
@@ -387,7 +381,9 @@ let evaluate_mapping config spec mapping =
   let fingerprint = config_fingerprint config in
   let keys =
     Array.init n_modes (fun mode ->
-        eval_key ~fingerprint ~alloc ~mode rows.(mode))
+        eval_key ~fingerprint
+          ~read_set:(Core_alloc.read_set alloc spec ~mode rows.(mode))
+          ~mode rows.(mode))
   in
   let cached = Array.map (Memo.find ~pin:true eval_cache) keys in
   Array.iter
@@ -483,6 +479,13 @@ let evaluate_mapping_reference config spec mapping =
 
 (* --- Delta evaluation (DESIGN.md §13) ------------------------------------- *)
 
+let int_arrays_equal x y =
+  let n = Array.length x in
+  n = Array.length y
+  &&
+  let rec eq i = i >= n || (x.(i) = y.(i) && eq (i + 1)) in
+  eq 0
+
 (* [evaluate_mapping_delta config spec parent ~dirty mapping] evaluates
    [mapping] given that it differs from [parent.mapping] exactly at the
    genome positions in [dirty] (ascending).  Bit-identical to
@@ -490,9 +493,9 @@ let evaluate_mapping_reference config spec mapping =
    mobility analysis and (schedule, scaling, power) triple; dirty modes
    run the full compiled per-mode path.  Core allocation is global, so
    it is always recomputed and the reuse of a clean mode's triple is
-   additionally guarded by its core-instance signature
-   ([Core_alloc.same_signature], the dependency [eval_key] encodes):
-   when the signature moved, the mode is promoted to dirty.  Falls back
+   additionally guarded by its read set ([Core_alloc.read_set], the
+   dependency [eval_key] encodes): when the instance count one of its
+   hardware tasks sees moved, the mode is promoted to dirty.  Falls back
    to [evaluate_mapping] whenever more than half the modes are dirty —
    the per-mode caches make the full path nearly as cheap, and a narrow
    dirty set is where the savings are. *)
@@ -551,11 +554,18 @@ let evaluate_mapping_delta config spec parent ~dirty mapping =
       Mm_obs.Probe.run p_alloc (fun () -> Core_alloc.allocate spec mapping ~mobilities)
     in
     (* Allocation is global: a dirty mode can shift the instances granted
-       to a clean one.  Promote clean modes whose signature moved. *)
+       to a clean one.  Promote clean modes whose read set moved; a clean
+       mode keeps its row, so the parent's read set is over the same
+       tasks. *)
+    let read_sets =
+      Array.init n_modes (fun mode -> Core_alloc.read_set alloc spec ~mode rows.(mode))
+    in
     for mode = 0 to n_modes - 1 do
       if
         (not dirty_modes.(mode))
-        && not (Core_alloc.same_signature alloc parent.alloc ~mode)
+        && not
+             (int_arrays_equal read_sets.(mode)
+                (Core_alloc.read_set parent.alloc spec ~mode rows.(mode)))
       then begin
         dirty_modes.(mode) <- true;
         incr n_dirty
@@ -572,7 +582,7 @@ let evaluate_mapping_delta config spec parent ~dirty mapping =
       let keys =
         Array.init n_modes (fun mode ->
             if dirty_modes.(mode) then
-              Some (eval_key ~fingerprint ~alloc ~mode rows.(mode))
+              Some (eval_key ~fingerprint ~read_set:read_sets.(mode) ~mode rows.(mode))
             else None)
       in
       let cached =

@@ -64,7 +64,7 @@ val mode_eval_cache :
   Mm_parallel.Memo.t
 (** The calling domain's per-mode (schedule, scaling, power) cache for
     this specification, keyed by (mode, scheduler/DVS config
-    fingerprint, mapping row, core-instance signature).  Same ownership
+    fingerprint, mapping row, [Core_alloc.read_set]).  Same ownership
     as {!mode_mobility_cache}. *)
 
 val n_positions : t -> int

@@ -548,15 +548,21 @@ let nominal_reference ~graph ~arch ~tech ~schedule () =
 (*                                                                     *)
 (* The unit DAG lives in reusable flat arrays (a [workspace], one per  *)
 (* domain: [domain_workspace]); predecessors/successors are CSR slices; *)
-(* per-unit durations and next-lower-level gradient candidates are     *)
-(* cached so the passes and the greedy loop never re-enter the         *)
-(* [Voltage] power-law kernels for unchanged units; and the            *)
-(* greedy selection runs over a binary max-heap of gradient ratios     *)
-(* instead of the reference's full scan.                               *)
+(* each rail's levels and [Voltage] factors are tabulated once per     *)
+(* call, so the loops never evaluate a power law; per-unit durations   *)
+(* and next-lower-level gradient candidates are cached; the greedy     *)
+(* selection runs over a binary max-heap of gradient ratios instead of *)
+(* the reference's full scan; and after an accepted step only the      *)
+(* changed unit's descendants (finishes) and ancestors (latest         *)
+(* finishes) are re-evaluated, not the whole DAG.                      *)
 (*                                                                     *)
 (* Bit-exactness obligations (tested in test_dvs.ml):                  *)
 (* - all candidate quantities are computed by the verbatim reference   *)
-(*   expressions, so cached values equal rescanned ones;               *)
+(*   expressions over the very floats [Voltage] returns, so cached     *)
+(*   values equal rescanned ones;                                      *)
+(* - a unit's pass value is a fold over its neighbours' values, so     *)
+(*   re-evaluating exactly the units whose neighbours changed, in      *)
+(*   topological order, reproduces the full pass bit for bit;          *)
 (* - slack (lft - finish) is non-increasing per unit while its voltage *)
 (*   is unchanged (voltages only drop, durations only grow), so a      *)
 (*   popped candidate whose delay no longer fits can be discarded for  *)
@@ -576,17 +582,18 @@ type workspace = {
   (* Per-unit arrays, valid in [0, cap). *)
   mutable cap : int;
   mutable u_task : int array;  (* task id for task units, -1 otherwise *)
-  mutable u_rail : int array;  (* rail-table index, -1 = never scaled *)
+  mutable u_rail : int array;  (* PE whose rail scales the unit, -1 = never *)
   mutable u_nominal : float array;
   mutable u_power : float array;
   mutable u_deadline : float array;
-  mutable u_voltage : float array;
-  mutable u_dur : float array;  (* duration at the current voltage *)
+  mutable u_level : int array;  (* index into the rail's level table *)
+  mutable u_dur : float array;  (* duration at the current level *)
   mutable u_start : float array;
   mutable u_finish : float array;
   mutable u_lft : float array;
+  mutable u_pos : int array;  (* position in [topo] *)
   (* Next-lower-level gradient candidate per scalable unit. *)
-  mutable cand_v : float array;
+  mutable cand_level : int array;
   mutable cand_delay : float array;
   mutable cand_gain : float array;
   mutable cand_ratio : float array;
@@ -601,6 +608,9 @@ type workspace = {
   mutable pred_off : int array;
   mutable succ_off : int array;
   mutable topo : int array;
+  (* In-degree counters while the DAG is built; all zero once Kahn's
+     algorithm has consumed them, and the incremental passes' marks
+     (kept zero between passes) after that. *)
   mutable scratch : int array;
 }
 
@@ -612,12 +622,13 @@ let create_workspace () =
     u_nominal = [||];
     u_power = [||];
     u_deadline = [||];
-    u_voltage = [||];
+    u_level = [||];
     u_dur = [||];
     u_start = [||];
     u_finish = [||];
     u_lft = [||];
-    cand_v = [||];
+    u_pos = [||];
+    cand_level = [||];
     cand_delay = [||];
     cand_gain = [||];
     cand_ratio = [||];
@@ -650,12 +661,13 @@ let ensure_units ws n =
     ws.u_nominal <- Array.make cap 0.0;
     ws.u_power <- Array.make cap 0.0;
     ws.u_deadline <- Array.make cap 0.0;
-    ws.u_voltage <- Array.make cap 0.0;
+    ws.u_level <- Array.make cap 0;
     ws.u_dur <- Array.make cap 0.0;
     ws.u_start <- Array.make cap 0.0;
     ws.u_finish <- Array.make cap 0.0;
     ws.u_lft <- Array.make cap 0.0;
-    ws.cand_v <- Array.make cap 0.0;
+    ws.u_pos <- Array.make cap 0;
+    ws.cand_level <- Array.make cap 0;
     ws.cand_delay <- Array.make cap 0.0;
     ws.cand_gain <- Array.make cap 0.0;
     ws.cand_ratio <- Array.make cap 0.0;
@@ -676,12 +688,43 @@ let ensure_edges ws m =
     ws.succ_adj <- Array.make cap 0
   end
 
+(* A rail's discrete levels with everything the scaling loops read of
+   them, computed once per call by the [Voltage] functions themselves:
+   the loops then take the very floats those functions return, from a
+   table, with no power law in between.  [lower.(k)] is the index of
+   [Voltage.next_lower] of level [k], or -1 at the bottom.  A PE without
+   a rail gets the empty table; no unit refers to it. *)
+type rail_table = {
+  levels : float array;  (* descending, as [Voltage.levels] *)
+  delay : float array;  (* [Voltage.delay_factor] per level *)
+  energy : float array;  (* [Voltage.energy_factor] per level *)
+  lower : int array;
+}
+
+let no_rail = { levels = [||]; delay = [||]; energy = [||]; lower = [||] }
+
+let rail_table rail =
+  let levels = Array.of_list (Voltage.levels rail) in
+  let index_of v =
+    let rec find k = if levels.(k) = v then k else find (k + 1) in
+    find 0
+  in
+  {
+    levels;
+    delay = Array.map (Voltage.delay_factor rail) levels;
+    energy = Array.map (Voltage.energy_factor rail) levels;
+    lower =
+      Array.map
+        (fun v -> match Voltage.next_lower rail v with Some v' -> index_of v' | None -> -1)
+        levels;
+  }
+
 (* The flat DAG: [n] units in the workspace arrays plus everything the
    assembly step needs to rebuild the public result. *)
 type fdag = {
   ws : workspace;
   n : int;
-  rails : Voltage.t array;
+  rails : rail_table array;  (* by PE id *)
   (* (unit, pe, segment) per segment unit, latest first. *)
   seg_units : (int * int * Hw_transform.segment) list;
   (* (task, last unit) per segment-resident task. *)
@@ -699,6 +742,13 @@ let task_power ?dispatch ~graph ~arch ~tech (schedule : Schedule.t) task_id =
     | Some impl -> impl.Tech_lib.dyn_power
     | None -> raise Not_found)
   | None -> (Tech_lib.find_exn tech ~ty ~pe:(Arch.pe arch pe_id)).Tech_lib.dyn_power
+
+module Int_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash x = x
+end)
 
 let build_flat ws ~config ~graph ~arch ~tech ~dispatch ~(schedule : Schedule.t) =
   let n_tasks = Graph.n_tasks graph in
@@ -729,51 +779,39 @@ let build_flat ws ~config ~graph ~arch ~tech ~dispatch ~(schedule : Schedule.t) 
           match List.rev hw_slots.(Pe.id pe) with
           | [] -> None
           | slots ->
-            let rail = match Pe.rail pe with Some r -> r | None -> assert false in
             let segs =
               Hw_transform.segments
                 ~slots:
                   (List.map (fun (s : Schedule.task_slot) -> (s, power_of s.Schedule.task)) slots)
             in
-            Some (Pe.id pe, rail, slots, segs))
+            Some (Pe.id pe, slots, segs))
       (Arch.pes arch)
   in
   let n_segments =
-    List.fold_left (fun acc (_, _, _, segs) -> acc + List.length segs) 0 hw_components
+    List.fold_left (fun acc (_, _, segs) -> acc + List.length segs) 0 hw_components
   in
-  let n_comms = List.length schedule.Schedule.comm_slots in
+  let comms = Array.of_list schedule.Schedule.comm_slots in
+  let n_comms = Array.length comms in
   let n = !n_task_units + n_segments + n_comms in
   ensure_units ws n;
   ensure_edges ws (n + (2 * Graph.n_edges graph));
-  (* Rail table: one slot per PE that contributes scalable units. *)
-  let rail_idx = Array.make n_pes (-1) in
-  let rail_list = ref [] in
-  let n_rails = ref 0 in
-  let rail_index pe_id rail =
-    if rail_idx.(pe_id) < 0 then begin
-      rail_list := rail :: !rail_list;
-      rail_idx.(pe_id) <- !n_rails;
-      incr n_rails
-    end;
-    rail_idx.(pe_id)
+  let rails =
+    Array.init n_pes (fun pe ->
+        match Pe.rail (Arch.pe arch pe) with Some r -> rail_table r | None -> no_rail)
   in
   let next = ref 0 in
-  let fresh ~task ~rail_i ~rail ~nominal ~power ~deadline =
+  (* [rail] is the PE whose rail scales the unit, -1 for none; scalable
+     units start at level 0, Vmax. *)
+  let fresh ~task ~rail ~nominal ~power ~deadline =
     let id = !next in
     incr next;
     ws.u_task.(id) <- task;
-    ws.u_rail.(id) <- rail_i;
+    ws.u_rail.(id) <- rail;
     ws.u_nominal.(id) <- nominal;
     ws.u_power.(id) <- power;
     ws.u_deadline.(id) <- deadline;
-    (match rail with
-    | Some r ->
-      let vstart = Voltage.vmax r in
-      ws.u_voltage.(id) <- vstart;
-      ws.u_dur.(id) <- Voltage.scaled_time r ~tmin:nominal vstart
-    | None ->
-      ws.u_voltage.(id) <- nan;
-      ws.u_dur.(id) <- nominal);
+    ws.u_level.(id) <- 0;
+    ws.u_dur.(id) <- (if rail >= 0 then nominal *. rails.(rail).delay.(0) else nominal);
     id
   in
   (* Sites: the unit whose start/finish carries the task boundary. *)
@@ -786,13 +824,11 @@ let build_flat ws ~config ~graph ~arch ~tech ~dispatch ~(schedule : Schedule.t) 
       let pe = Arch.pe arch pe_id in
       if not (scaled_hw_pe pe) then begin
         let rail =
-          if config.scale_software && Pe.is_software pe then Pe.rail pe else None
-        in
-        let rail_i =
-          match rail with Some r -> rail_index pe_id r | None -> -1
+          if config.scale_software && Pe.is_software pe && Pe.is_dvs_enabled pe then pe_id
+          else -1
         in
         let id =
-          fresh ~task:slot.Schedule.task ~rail_i ~rail ~nominal:slot.Schedule.duration
+          fresh ~task:slot.Schedule.task ~rail ~nominal:slot.Schedule.duration
             ~power:(power_of slot.Schedule.task)
             ~deadline:(deadline_of_task graph period slot.Schedule.task)
         in
@@ -812,8 +848,7 @@ let build_flat ws ~config ~graph ~arch ~tech ~dispatch ~(schedule : Schedule.t) 
     end
   in
   List.iter
-    (fun (pe_id, rail, slots, segs) ->
-      let rail_i = rail_index pe_id rail in
+    (fun (pe_id, slots, segs) ->
       let first_id = !next in
       List.iter
         (fun (seg : Hw_transform.segment) ->
@@ -823,7 +858,7 @@ let build_flat ws ~config ~graph ~arch ~tech ~dispatch ~(schedule : Schedule.t) 
               infinity seg.Hw_transform.finishing
           in
           let id =
-            fresh ~task:(-1) ~rail_i ~rail:(Some rail) ~nominal:seg.Hw_transform.duration
+            fresh ~task:(-1) ~rail:pe_id ~nominal:seg.Hw_transform.duration
               ~power:seg.Hw_transform.power ~deadline:seg_deadline
           in
           if id > first_id then add_edge (id - 1) id;
@@ -838,58 +873,54 @@ let build_flat ws ~config ~graph ~arch ~tech ~dispatch ~(schedule : Schedule.t) 
           seg_sites := (s.Schedule.task, first_id + last) :: !seg_sites)
         slots)
     hw_components;
-  (* Communication units, in scheduling order. *)
-  let comm_unit = Hashtbl.create 16 in
-  List.iter
+  (* Communication units, in scheduling order, found by (src, dst). *)
+  let comm_base = !next in
+  let comm_unit = Int_tbl.create 16 in
+  Array.iter
     (fun (c : Schedule.comm_slot) ->
       let id =
-        fresh ~task:(-1) ~rail_i:(-1) ~rail:None ~nominal:c.Schedule.duration ~power:0.0
+        fresh ~task:(-1) ~rail:(-1) ~nominal:c.Schedule.duration ~power:0.0
           ~deadline:period
       in
-      Hashtbl.replace comm_unit (c.Schedule.edge.Graph.src, c.Schedule.edge.Graph.dst) id)
-    schedule.Schedule.comm_slots;
+      Int_tbl.replace comm_unit
+        ((c.Schedule.edge.Graph.src * n_tasks) + c.Schedule.edge.Graph.dst)
+        id)
+    comms;
   assert (!next = n);
-  (* Resource chains (task units) and link chains (comm units): sort the
-     members of each sequential resource by (start, id) and chain
-     consecutive ones — the same edges the reference derives from its
-     per-resource hash buckets. *)
-  let task_members = ref [] in
-  Array.iteri
-    (fun task_id (slot : Schedule.task_slot) ->
-      let id = site_first.(task_id) in
-      if id >= 0 && ws.u_task.(id) = task_id then
-        task_members := (slot.Schedule.resource, slot.Schedule.start, id) :: !task_members)
-    schedule.Schedule.task_slots;
-  let chain_resources members compare_key =
-    let members = Array.of_list members in
-    Array.sort
-      (fun (ka, sa, ia) (kb, sb, ib) ->
-        let c = compare_key ka kb in
-        if c <> 0 then c
-        else
-          let c = compare (sa : float) sb in
-          if c <> 0 then c else compare (ia : int) ib)
-      members;
-    for k = 1 to Array.length members - 1 do
-      let pk, _, prev = members.(k - 1) in
-      let ck, _, cur = members.(k) in
-      if compare_key pk ck = 0 then add_edge prev cur
-    done
+  (* Resource chains (task units) and link chains (comm units): walk the
+     units of both kinds in one (start, id) order and link each to the
+     last unit seen on its sequential resource — the same edges the
+     reference derives from its per-resource buckets. *)
+  let chained = Array.init (!n_task_units + n_comms) (fun k ->
+      if k < !n_task_units then k else comm_base + k - !n_task_units)
   in
-  chain_resources !task_members Resource.compare;
-  let comm_members = ref [] in
-  let comm_base = n - n_comms in
-  List.iteri
-    (fun k (c : Schedule.comm_slot) ->
-      comm_members := (c.Schedule.cl, c.Schedule.start, comm_base + k) :: !comm_members)
-    schedule.Schedule.comm_slots;
-  chain_resources !comm_members Int.compare;
+  let start_of id =
+    if id < comm_base then schedule.Schedule.task_slots.(ws.u_task.(id)).Schedule.start
+    else comms.(id - comm_base).Schedule.start
+  in
+  Array.sort
+    (fun a b ->
+      let c = Float.compare (start_of a) (start_of b) in
+      if c <> 0 then c else Int.compare a b)
+    chained;
+  let last_on = Resource.Tbl.create 16 in
+  Array.iter
+    (fun id ->
+      let resource =
+        if id < comm_base then schedule.Schedule.task_slots.(ws.u_task.(id)).Schedule.resource
+        else Resource.Link comms.(id - comm_base).Schedule.cl
+      in
+      (match Resource.Tbl.find_opt last_on resource with
+      | Some prev -> add_edge prev id
+      | None -> ());
+      Resource.Tbl.replace last_on resource id)
+    chained;
   (* Data edges. *)
   List.iter
     (fun (e : Graph.edge) ->
       let producer = site_last.(e.src) in
       let consumer = site_first.(e.dst) in
-      match Hashtbl.find_opt comm_unit (e.src, e.dst) with
+      match Int_tbl.find_opt comm_unit ((e.src * n_tasks) + e.dst) with
       | Some comm ->
         add_edge producer comm;
         add_edge comm consumer
@@ -940,6 +971,7 @@ let build_flat ws ~config ~graph ~arch ~tech ~dispatch ~(schedule : Schedule.t) 
   let head = ref 0 in
   while !head < !tail do
     let i = ws.topo.(!head) in
+    ws.u_pos.(i) <- !head;
     incr head;
     for k = ws.succ_off.(i) to ws.succ_off.(i + 1) - 1 do
       let j = ws.succ_adj.(k) in
@@ -954,33 +986,109 @@ let build_flat ws ~config ~graph ~arch ~tech ~dispatch ~(schedule : Schedule.t) 
   {
     ws;
     n;
-    rails = Array.of_list (List.rev !rail_list);
+    rails;
     seg_units = !seg_units;
     seg_sites = !seg_sites;
   }
 
+(* One unit of the forward (earliest start/finish) and the backward
+   (latest finish) pass: the fold over the unit's CSR slice, which the
+   full passes and the incremental ones share.
+
+   Plain float comparisons stand in for [Float.max]/[Float.min], which
+   call out to C for the sign bit: the two agree unless an operand is
+   NaN or −0, and neither occurs here.  Durations are finite and
+   non-negative (positive task times, non-negative transfer times,
+   positive delay factors), starts fold up from +0, and deadlines are
+   positive or infinite ([Task.make], [Mode.make] and validation rule
+   MM027 reject non-positive ones).  Adding such a duration to a finish,
+   or subtracting it from a latest finish, that is neither NaN nor −0
+   gives neither NaN nor −0 (an exact zero difference is +0), so by
+   induction over the passes no operand ever is. *)
+let forward_unit ws u =
+  let ready = ref 0.0 in
+  for i = ws.pred_off.(u) to ws.pred_off.(u + 1) - 1 do
+    let f = ws.u_finish.(ws.pred_adj.(i)) in
+    if f > !ready then ready := f
+  done;
+  ws.u_start.(u) <- !ready;
+  ws.u_finish.(u) <- !ready +. ws.u_dur.(u)
+
+let backward_unit ws u =
+  let lft = ref infinity in
+  for i = ws.succ_off.(u) to ws.succ_off.(u + 1) - 1 do
+    let s = ws.succ_adj.(i) in
+    let l = ws.u_lft.(s) -. ws.u_dur.(s) in
+    if l < !lft then lft := l
+  done;
+  let deadline = ws.u_deadline.(u) in
+  ws.u_lft.(u) <- (if deadline < !lft then deadline else !lft)
+
 let forward_flat d =
   let ws = d.ws in
   for k = 0 to d.n - 1 do
-    let u = ws.topo.(k) in
-    let ready = ref 0.0 in
-    for i = ws.pred_off.(u) to ws.pred_off.(u + 1) - 1 do
-      ready := Float.max !ready ws.u_finish.(ws.pred_adj.(i))
-    done;
-    ws.u_start.(u) <- !ready;
-    ws.u_finish.(u) <- !ready +. ws.u_dur.(u)
+    forward_unit ws ws.topo.(k)
   done
 
 let backward_flat d =
   let ws = d.ws in
   for k = d.n - 1 downto 0 do
-    let u = ws.topo.(k) in
-    let lft = ref infinity in
-    for i = ws.succ_off.(u) to ws.succ_off.(u + 1) - 1 do
-      let s = ws.succ_adj.(i) in
-      lft := Float.min !lft (ws.u_lft.(s) -. ws.u_dur.(s))
-    done;
-    ws.u_lft.(u) <- Float.min ws.u_deadline.(u) !lft
+    backward_unit ws ws.topo.(k)
+  done
+
+(* Incremental passes after unit [u]'s duration changed.  Finishes can
+   move only in [u] and its descendants, latest finishes only in its
+   ancestors (a unit's own latest finish reads its successors alone).
+   Each pass re-evaluates the marked units in (reverse) topological
+   order with the full pass's own fold, marking the neighbours of a unit
+   only when its value changed, so every unit it leaves alone already
+   holds the value a full pass would compute. *)
+let mark ws pending v =
+  if ws.scratch.(v) = 0 then begin
+    ws.scratch.(v) <- 1;
+    incr pending
+  end
+
+let forward_from d u =
+  let ws = d.ws in
+  let pending = ref 0 in
+  let k = ref ws.u_pos.(u) in
+  mark ws pending u;
+  while !pending > 0 do
+    let v = ws.topo.(!k) in
+    if ws.scratch.(v) <> 0 then begin
+      ws.scratch.(v) <- 0;
+      decr pending;
+      let before = ws.u_finish.(v) in
+      forward_unit ws v;
+      if ws.u_finish.(v) <> before then
+        for i = ws.succ_off.(v) to ws.succ_off.(v + 1) - 1 do
+          mark ws pending ws.succ_adj.(i)
+        done
+    end;
+    incr k
+  done
+
+let backward_from d u =
+  let ws = d.ws in
+  let pending = ref 0 in
+  let k = ref (ws.u_pos.(u) - 1) in
+  for i = ws.pred_off.(u) to ws.pred_off.(u + 1) - 1 do
+    mark ws pending ws.pred_adj.(i)
+  done;
+  while !pending > 0 do
+    let v = ws.topo.(!k) in
+    if ws.scratch.(v) <> 0 then begin
+      ws.scratch.(v) <- 0;
+      decr pending;
+      let before = ws.u_lft.(v) in
+      backward_unit ws v;
+      if ws.u_lft.(v) <> before then
+        for i = ws.pred_off.(v) to ws.pred_off.(v + 1) - 1 do
+          mark ws pending ws.pred_adj.(i)
+        done
+    end;
+    decr k
   done
 
 let all_deadlines_met_flat d =
@@ -1037,26 +1145,26 @@ let heap_pop ws size =
   end;
   top
 
-(* The gradient candidate of a unit at its current voltage: the verbatim
-   reference expressions, cached until the unit's voltage changes. *)
+(* The gradient candidate of a unit at its current level: the reference
+   expressions over the table's copies of the [Voltage] factors, cached
+   until the unit's level changes. *)
 let compute_candidate ws rails u =
-  let rail = rails.(ws.u_rail.(u)) in
-  match Voltage.next_lower rail ws.u_voltage.(u) with
-  | None -> false
-  | Some v' ->
-    let added_delay =
-      ws.u_nominal.(u)
-      *. (Voltage.delay_factor rail v' -. Voltage.delay_factor rail ws.u_voltage.(u))
-    in
-    let energy_gain =
-      ws.u_power.(u) *. ws.u_nominal.(u)
-      *. (Voltage.energy_factor rail ws.u_voltage.(u) -. Voltage.energy_factor rail v')
-    in
-    ws.cand_v.(u) <- v';
-    ws.cand_delay.(u) <- added_delay;
-    ws.cand_gain.(u) <- energy_gain;
-    ws.cand_ratio.(u) <- (if added_delay > 0.0 then energy_gain /. added_delay else infinity);
-    true
+  let table = rails.(ws.u_rail.(u)) in
+  let k = ws.u_level.(u) in
+  let j = table.lower.(k) in
+  j >= 0
+  && begin
+       let added_delay = ws.u_nominal.(u) *. (table.delay.(j) -. table.delay.(k)) in
+       let energy_gain =
+         ws.u_power.(u) *. ws.u_nominal.(u) *. (table.energy.(k) -. table.energy.(j))
+       in
+       ws.cand_level.(u) <- j;
+       ws.cand_delay.(u) <- added_delay;
+       ws.cand_gain.(u) <- energy_gain;
+       ws.cand_ratio.(u) <-
+         (if added_delay > 0.0 then energy_gain /. added_delay else infinity);
+       true
+     end
 
 let rec insert_ascending id = function
   | [] -> [ id ]
@@ -1070,9 +1178,9 @@ let greedy_scale_flat d =
   for u = 0 to d.n - 1 do
     if ws.u_rail.(u) >= 0 && compute_candidate ws rails u then heap_push ws size u
   done;
+  backward_flat d;
   let continue_ = ref true in
   while !continue_ do
-    backward_flat d;
     (* Pop the epsilon window: every candidate not provably below the
        collected minimum under the reference's chained 1e-15 epsilon.
        Ineligible pops are discarded permanently (slack shrinks
@@ -1114,38 +1222,33 @@ let greedy_scale_flat d =
       let best = !best in
       if ws.cand_gain.(best) > 0.0 then begin
         List.iter (fun id -> if id <> best then heap_push ws size id) !collected;
-        let rail = rails.(ws.u_rail.(best)) in
-        ws.u_voltage.(best) <- ws.cand_v.(best);
-        ws.u_dur.(best) <-
-          Voltage.scaled_time rail ~tmin:ws.u_nominal.(best) ws.u_voltage.(best);
+        let level = ws.cand_level.(best) in
+        ws.u_level.(best) <- level;
+        ws.u_dur.(best) <- ws.u_nominal.(best) *. rails.(ws.u_rail.(best)).delay.(level);
         if compute_candidate ws rails best then heap_push ws size best;
-        forward_flat d
+        forward_from d best;
+        backward_from d best
       end
       else continue_ := false
   done
 
 let even_slack_scale_flat d =
   let ws = d.ws in
-  let levels = Array.map (fun r -> Array.of_list (Voltage.levels r)) d.rails in
-  let factors =
-    Array.mapi (fun i r -> Array.map (Voltage.delay_factor r) levels.(i)) d.rails
-  in
-  let slowest_within rail_i factor =
+  let slowest_within table factor =
     (* Last fitting level of the descending table = the reference's
        fold over [Voltage.levels]; Vmax (factor 1) always fits. *)
-    let best = ref (Voltage.vmax d.rails.(rail_i)) in
-    Array.iteri
-      (fun k v -> if factors.(rail_i).(k) <= factor +. 1e-12 then best := v)
-      levels.(rail_i);
+    let best = ref 0 in
+    Array.iteri (fun k f -> if f <= factor +. 1e-12 then best := k) table.delay;
     !best
   in
   let apply factor =
     for u = 0 to d.n - 1 do
       let rail_i = ws.u_rail.(u) in
       if rail_i >= 0 then begin
-        let v = slowest_within rail_i factor in
-        ws.u_voltage.(u) <- v;
-        ws.u_dur.(u) <- Voltage.scaled_time d.rails.(rail_i) ~tmin:ws.u_nominal.(u) v
+        let table = d.rails.(rail_i) in
+        let k = slowest_within table factor in
+        ws.u_level.(u) <- k;
+        ws.u_dur.(u) <- ws.u_nominal.(u) *. table.delay.(k)
       end
     done
   in
@@ -1157,9 +1260,10 @@ let even_slack_scale_flat d =
   let max_factor = ref 1.0 in
   for u = 0 to d.n - 1 do
     let rail_i = ws.u_rail.(u) in
-    if rail_i >= 0 then
-      max_factor :=
-        Float.max !max_factor (factors.(rail_i).(Array.length factors.(rail_i) - 1))
+    if rail_i >= 0 then begin
+      let delay = d.rails.(rail_i).delay in
+      max_factor := Float.max !max_factor delay.(Array.length delay - 1)
+    end
   done;
   let rec bisect lo hi k =
     (* Invariant: lo feasible, hi not (or untested upper bound). *)
@@ -1184,6 +1288,11 @@ let run ?(config = default_config) ?workspace ?dispatch ~graph ~arch ~tech ~sche
     | Greedy_gradient -> greedy_scale_flat d
     | Even_slack -> even_slack_scale_flat d
   end;
+  (* A scaled unit's energy: [Voltage.scaled_energy] at its level. *)
+  let scaled_energy u =
+    ws.u_power.(u) *. ws.u_nominal.(u) *. d.rails.(ws.u_rail.(u)).energy.(ws.u_level.(u))
+  in
+  let voltage u = d.rails.(ws.u_rail.(u)).levels.(ws.u_level.(u)) in
   let n_tasks = Graph.n_tasks graph in
   let task_voltages = Array.make n_tasks nan in
   let task_energy = Array.make n_tasks 0.0 in
@@ -1191,16 +1300,11 @@ let run ?(config = default_config) ?workspace ?dispatch ~graph ~arch ~tech ~sche
   for u = 0 to d.n - 1 do
     let task_id = ws.u_task.(u) in
     if task_id >= 0 then begin
-      let energy =
-        if ws.u_rail.(u) < 0 then ws.u_power.(u) *. ws.u_nominal.(u)
-        else
-          Voltage.scaled_energy d.rails.(ws.u_rail.(u)) ~pmax:ws.u_power.(u)
-            ~tmin:ws.u_nominal.(u) ws.u_voltage.(u)
-      in
-      task_energy.(task_id) <- energy;
+      task_energy.(task_id) <-
+        (if ws.u_rail.(u) < 0 then ws.u_power.(u) *. ws.u_nominal.(u) else scaled_energy u);
       stretched_finish.(task_id) <- ws.u_finish.(u);
       task_voltages.(task_id) <-
-        (if ws.u_rail.(u) >= 0 then ws.u_voltage.(u)
+        (if ws.u_rail.(u) >= 0 then voltage u
          else
            let pe = Arch.pe arch (Schedule.pe_of_slot schedule.Schedule.task_slots.(task_id)) in
            match Pe.rail pe with Some r -> Voltage.vmax r | None -> nan)
@@ -1212,11 +1316,9 @@ let run ?(config = default_config) ?workspace ?dispatch ~graph ~arch ~tech ~sche
         {
           pe;
           segment = seg;
-          voltage = ws.u_voltage.(u);
+          voltage = voltage u;
           scaled_duration = ws.u_dur.(u);
-          energy =
-            Voltage.scaled_energy d.rails.(ws.u_rail.(u)) ~pmax:ws.u_power.(u)
-              ~tmin:ws.u_nominal.(u) ws.u_voltage.(u);
+          energy = scaled_energy u;
         })
       d.seg_units
   in

@@ -97,6 +97,14 @@ val run :
 (** Flat fast path: bit-identical to {!run_reference} (property-tested in
     [test_dvs.ml]) but built on reusable flat arrays, cached per-unit
     durations/gradients and a binary max-heap over gradient ratios.
+    Each rail's levels, delay and energy factors and next-lower level
+    are tabulated once per call with the {!Mm_arch.Voltage} functions,
+    so the greedy loop reads the same floats without a power law.  The
+    latest finishes are computed once before the greedy loop; after each
+    accepted step only the lowered unit's descendants (finishes) and
+    ancestors (latest finishes) are re-evaluated, stopping wherever a
+    value came out bit-identical (DESIGN.md §13).  The DAG's resource
+    and link chains come from one (start, id) ordering of the units.
     [workspace] avoids per-call allocation; [dispatch] replaces the
     O(log n) [Tech_lib.find_exn] power lookups with O(1) table hits. *)
 

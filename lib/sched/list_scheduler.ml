@@ -173,8 +173,8 @@ let run ?(policy = Mobility_first) input =
       Array.iteri (fun position i -> rank.(i) <- -.float_of_int position) order;
       rank
   in
-  let avail : (Resource.t, float) Hashtbl.t = Hashtbl.create 16 in
-  let avail_of r = Option.value ~default:0.0 (Hashtbl.find_opt avail r) in
+  let avail : float Resource.Tbl.t = Resource.Tbl.create 16 in
+  let avail_of r = Option.value ~default:0.0 (Resource.Tbl.find_opt avail r) in
   let task_slots = Array.make n None in
   let comm_slots = ref [] in
   let unroutable = ref [] in
@@ -198,7 +198,8 @@ let run ?(policy = Mobility_first) input =
          order or on sort stability. *)
       List.sort
         (fun (_, (a : Graph.edge)) (_, (b : Graph.edge)) ->
-          compare (finish_of a.src, a.src) (finish_of b.src, b.src))
+          let c = Float.compare (finish_of a.src) (finish_of b.src) in
+          if c <> 0 then c else Int.compare a.src b.src)
         !pred_edges
     in
     List.fold_left
@@ -213,7 +214,7 @@ let run ?(policy = Mobility_first) input =
           | Comm_mapping.Via { cl; time; energy } ->
             let link = Resource.Link (Cl.id cl) in
             let start = Float.max (avail_of link) produced in
-            Hashtbl.replace avail link (start +. time);
+            Resource.Tbl.replace avail link (start +. time);
             comm_slots :=
               { Schedule.edge = e; cl = Cl.id cl; start; duration = time; energy }
               :: !comm_slots;
@@ -247,7 +248,7 @@ let run ?(policy = Mobility_first) input =
       let resource = resource_for task_id in
       let start = Float.max (avail_of resource) arrival in
       let duration = exec.(task_id) in
-      Hashtbl.replace avail resource (start +. duration);
+      Resource.Tbl.replace avail resource (start +. duration);
       task_slots.(task_id) <- Some { Schedule.task = task_id; resource; start; duration };
       Graph.iter_succ_edges input.graph task_id (fun _ (e : Graph.edge) ->
           remaining_preds.(e.dst) <- remaining_preds.(e.dst) - 1;

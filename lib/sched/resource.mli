@@ -14,7 +14,17 @@ type t =
   | Link of int  (** Communication link id. *)
 
 val compare : t -> t -> int
+(** The order [Stdlib.compare] gives: [Sw_pe] < [Hw_core] < [Link],
+    then the fields left to right.  Monomorphic, so it skips the generic
+    structural walk; {!Map}, {!Set} and every resource-ordered output
+    keep the order they always had. *)
+
 val equal : t -> t -> bool
+(** [compare a b = 0]. *)
+
+val hash : t -> int
+(** A hash consistent with {!equal}, for {!Tbl}. *)
+
 val pe_id : t -> int option
 (** The owning PE for task resources; [None] for links. *)
 
@@ -22,3 +32,7 @@ val pp : Format.formatter -> t -> unit
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash tables on {!equal} and {!hash}: no polymorphic hash or compare
+    per lookup. *)

@@ -447,9 +447,11 @@ let random_platform rng =
   (arch, tech, dispatch)
 
 (* [zero_data_pct] makes that share of the edges carry no data (drawn
-   only when positive, so the default leaves the random stream alone). *)
-let random_graph ?(zero_data_pct = 0) rng =
-  let n = 1 + Mm_util.Prng.int rng 7 in
+   only when positive, so the default leaves the random stream alone);
+   [max_tasks] bounds the task count (default 7, the stream every
+   property had before it existed). *)
+let random_graph ?(zero_data_pct = 0) ?(max_tasks = 7) rng =
+  let n = 1 + Mm_util.Prng.int rng max_tasks in
   let tys = [| F.ty_a; F.ty_b; F.ty_c |] in
   let tasks =
     Array.init n (fun id ->
@@ -494,10 +496,10 @@ let check_equivalence ?dispatch ~config ~graph ~arch ~tech ~schedule () =
 
 let prop_heap_matches_reference =
   QCheck.Test.make ~name:"flat heap scaling = reference, float-bit"
-    ~count:(fuzz_count 300) QCheck.small_int (fun seed ->
+    ~count:(fuzz_count 300) QCheck.(int_bound 1_000_000) (fun seed ->
       let rng = Mm_util.Prng.create ~seed in
       let arch, tech, dispatch = random_platform rng in
-      let graph = random_graph rng in
+      let graph = random_graph ~max_tasks:24 rng in
       let n_pes = Arch.n_pes arch in
       let mapping = Array.init (Graph.n_tasks graph) (fun _ -> Mm_util.Prng.int rng n_pes) in
       let inst = 1 + Mm_util.Prng.int rng 2 in
@@ -514,10 +516,10 @@ let prop_heap_matches_reference =
 
 let prop_heap_matches_reference_zero_slack =
   QCheck.Test.make ~name:"flat heap scaling = reference at zero slack"
-    ~count:(fuzz_count 150) QCheck.small_int (fun seed ->
+    ~count:(fuzz_count 150) QCheck.(int_bound 1_000_000) (fun seed ->
       let rng = Mm_util.Prng.create ~seed in
       let arch, tech, dispatch = random_platform rng in
-      let graph = random_graph rng in
+      let graph = random_graph ~max_tasks:24 rng in
       let n_pes = Arch.n_pes arch in
       let mapping = Array.init (Graph.n_tasks graph) (fun _ -> Mm_util.Prng.int rng n_pes) in
       let instances ~pe:_ ~ty:_ = 1 in

@@ -442,23 +442,36 @@ let test_diff () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "length mismatch accepted"
 
-(* The canonical delta-vs-full equivalence fuzz (ISSUE 6, DESIGN §13):
-   random fixture specs, random mutation chains through
-   [point_mutate_tracked], every step checked float-bit against the full
-   pipeline.  Low rates exercise the per-mode reuse path, high rates the
-   wide-dirty-set fallback; chaining feeds each delta result back in as
-   the next parent, so reused caches are themselves delta-produced. *)
+(* The canonical delta-vs-full equivalence fuzz (DESIGN §13): random
+   specs, random mutation chains through [point_mutate_tracked], every
+   step checked float-bit against the full pipeline, and the last one
+   against the cache-free reference pipeline too.  The specs are fixture
+   graphs on the small fixture platform, the smartphone (all hardware on
+   ASICs, so growing a core in one mode changes the static cores every
+   mode sees) and mul1–mul12 (ASICs and FPGAs mixed).  The big specs are
+   built once, so their per-mode caches carry over between cases the
+   way they do across a GA run.  Low rates exercise the per-mode reuse
+   path, high rates the wide-dirty-set fallback; chaining feeds each
+   delta result back in as the next parent, so reused caches are
+   themselves delta-produced. *)
+let smartphone_spec = lazy (Mm_benchgen.Smartphone.spec ())
+let mul_specs = Array.init 12 (fun i -> lazy (Mm_benchgen.Random_system.mul (i + 1)))
+
 let delta_case seed =
   let rng = Prng.create ~seed in
-  let graphs =
-    let all =
-      [|
-        Fixtures.chain_graph (); Fixtures.fork_graph (); Fixtures.parallel_graph ();
-      |]
-    in
-    List.init (1 + Prng.int rng 3) (fun _ -> all.(Prng.int rng 3))
+  let spec =
+    match Prng.int rng 4 with
+    | 0 -> Lazy.force smartphone_spec
+    | 1 -> Lazy.force mul_specs.(Prng.int rng 12)
+    | _ ->
+      let all =
+        [|
+          Fixtures.chain_graph (); Fixtures.fork_graph (); Fixtures.parallel_graph ();
+        |]
+      in
+      let graphs = List.init (1 + Prng.int rng 3) (fun _ -> all.(Prng.int rng 3)) in
+      Fixtures.spec_of_graphs ~dvs_gpp:(Prng.int rng 2 = 0) graphs
   in
-  let spec = Fixtures.spec_of_graphs ~dvs_gpp:(Prng.int rng 2 = 0) graphs in
   let config =
     {
       Fitness.default_config with
@@ -475,7 +488,7 @@ let delta_case seed =
   let parent = ref (Fitness.evaluate config spec genome) in
   let ok = ref true in
   for _ = 1 to 3 do
-    let rate = [| 0.05; 0.2; 0.9 |].(Prng.int rng 3) in
+    let rate = [| 0.01; 0.05; 0.2; 0.9 |].(Prng.int rng 4) in
     let child = Array.copy !current in
     let dirty = Genome.point_mutate_tracked rng ~counts ~rate child in
     let via_delta = Fitness.evaluate_delta config spec ~parent:!parent ~dirty child in
@@ -484,11 +497,103 @@ let delta_case seed =
     parent := via_delta;
     current := child
   done;
-  !ok
+  !ok && evals_bit_identical !parent (Fitness.evaluate_reference config spec !current)
 
 let prop_delta_matches_full =
   QCheck.Test.make ~name:"delta ≡ full (float-bit)" ~count:(fuzz_count 500)
-    QCheck.small_int delta_case
+    QCheck.(int_bound 1_000_000)
+    delta_case
+
+(* The read-set contract of per-mode reuse (DESIGN §10): a clean mode's
+   (schedule, scaling, power) triple depends on the allocation only
+   through the instance counts its own hardware tasks see.  Two modes on
+   the fixture platform (GPP0 + ASIC1, area 300); a genome places every
+   task on GPP0 except the listed (mode, task) pairs, which go to ASIC1.
+   The child differs from the parent in mode 0 only. *)
+let genome_on spec asic_tasks =
+  Array.init (Spec.n_positions spec) (fun i ->
+      let { Spec.mode; task } = Spec.position spec i in
+      let pe_id = if List.mem (mode, task) asic_tasks then 1 else 0 in
+      Option.get (Spec.candidate_index spec i ~pe_id))
+
+let counter name = List.assoc name (Mm_obs.Metrics.snapshot ()).Mm_obs.Metrics.counters
+
+(* Delta-evaluates the child against the parent and returns the mode-1
+   read sets under both allocations and how many clean modes the delta
+   path reused and how often it fell back, after checking the result
+   float-bit, and its schedules structurally, against the full and the
+   reference pipelines. *)
+let read_set_case ~dvs graphs ~parent ~child =
+  let spec = Fixtures.spec_of_graphs graphs in
+  let config =
+    {
+      Fitness.default_config with
+      Fitness.dvs = (if dvs then Fitness.Dvs Scaling.default_config else Fitness.No_dvs);
+    }
+  in
+  let parent_genome = genome_on spec parent and child_genome = genome_on spec child in
+  let parent_eval = Fitness.evaluate config spec parent_genome in
+  let dirty = Genome.diff parent_genome child_genome in
+  Alcotest.(check bool) "only mode 0 dirty" true
+    (dirty <> [] && List.for_all (fun i -> (Spec.position spec i).Spec.mode = 0) dirty);
+  Mm_obs.Control.set_metrics true;
+  let via_delta, reused, fallbacks =
+    Fun.protect ~finally:(fun () -> Mm_obs.Control.set_metrics false) @@ fun () ->
+    let reuse0 = counter "fitness/delta_mode_reuse"
+    and fallback0 = counter "fitness/delta_fallbacks" in
+    let e = Fitness.evaluate_delta config spec ~parent:parent_eval ~dirty child_genome in
+    (e, counter "fitness/delta_mode_reuse" - reuse0, counter "fitness/delta_fallbacks" - fallback0)
+  in
+  List.iter
+    (fun (name, (e : Fitness.eval)) ->
+      Alcotest.(check bool) name true
+        (evals_bit_identical via_delta e && via_delta.Fitness.schedules = e.Fitness.schedules))
+    [
+      ("delta ≡ full", Fitness.evaluate config spec child_genome);
+      ("delta ≡ reference", Fitness.evaluate_reference config spec child_genome);
+    ];
+  let row = (Mm_cosynth.Mapping.of_genome spec child_genome :> int array array).(1) in
+  let read_set (e : Fitness.eval) =
+    Array.to_list (Mm_cosynth.Core_alloc.read_set e.Fitness.alloc spec ~mode:1 row)
+  in
+  (read_set parent_eval, read_set via_delta, reused, fallbacks)
+
+let test_delta_reuses_mode_with_unchanged_read_set () =
+  List.iter
+    (fun dvs ->
+      (* Mode 0 moves its type-A task onto the ASIC: a new static core
+         of a type mode 1 does not run in hardware. *)
+      let before, after, reused, fallbacks =
+        read_set_case ~dvs
+          [ Fixtures.chain_graph (); Fixtures.chain_graph () ]
+          ~parent:[ (1, 1) ] ~child:[ (0, 0); (1, 1) ]
+      in
+      Alcotest.(check (list int)) "mode 1 read set before" [ 0; 1; 0 ] before;
+      Alcotest.(check (list int)) "mode 1 read set after" [ 0; 1; 0 ] after;
+      Alcotest.(check int) "mode 1 reused" 1 reused;
+      Alcotest.(check int) "no fallback" 0 fallbacks)
+    [ false; true ]
+
+let test_delta_promotes_mode_whose_read_set_grew () =
+  List.iter
+    (fun dvs ->
+      (* Mode 1 runs two parallel type-B tasks on the ASIC and wants a
+         second B core, which does not fit while mode 0's type-C core
+         (area 150) sits there too.  Mode 0 moves its C task to the GPP:
+         the second B core now fits, and mode 1's tasks run in parallel
+         on it — its schedule changes though its row did not.  Promoting
+         mode 1 dirties both modes of two, so the delta path falls back
+         to the full evaluation. *)
+      let before, after, reused, fallbacks =
+        read_set_case ~dvs
+          [ Fixtures.chain_graph (); Fixtures.parallel_graph () ]
+          ~parent:[ (0, 2); (1, 0); (1, 1) ] ~child:[ (1, 0); (1, 1) ]
+      in
+      Alcotest.(check (list int)) "mode 1 read set before" [ 1; 1 ] before;
+      Alcotest.(check (list int)) "mode 1 read set after" [ 2; 2 ] after;
+      Alcotest.(check int) "mode 1 not reused" 0 reused;
+      Alcotest.(check int) "promoted, so fallback" 1 fallbacks)
+    [ false; true ]
 
 (* Engine-level: supplying a contract-satisfying delta changes neither
    the trajectory nor the evaluation counts, under either strategy. *)
@@ -845,6 +950,10 @@ let () =
           QCheck_alcotest.to_alcotest prop_tracked_mutation_matches_plain;
           Alcotest.test_case "diff" `Quick test_diff;
           QCheck_alcotest.to_alcotest prop_delta_matches_full;
+          Alcotest.test_case "clean mode reused when its read set holds" `Quick
+            test_delta_reuses_mode_with_unchanged_read_set;
+          Alcotest.test_case "clean mode promoted when its read set grows" `Quick
+            test_delta_promotes_mode_whose_read_set_grew;
           Alcotest.test_case "engine trajectory unchanged" `Quick
             test_engine_delta_identical_trajectory;
         ] );

@@ -392,6 +392,34 @@ let prop_gantt_total_renders =
       let sched = schedule ~graph ~mapping () in
       String.length (Gantt.render sched) > 0)
 
+(* --- Resource order ------------------------------------------------------- *)
+
+(* [Resource.compare] is monomorphic but must order exactly as the
+   polymorphic compare it replaced: [Resource.Map]/[Set] iteration
+   (audit reports, [Schedule.resources_used]) and the DVS resource
+   chains depend on it.  Small signed fields make ties and sign flips
+   common. *)
+let resource_gen =
+  let open QCheck.Gen in
+  let field = int_range (-3) 3 in
+  oneof
+    [
+      map (fun pe -> Resource.Sw_pe pe) field;
+      map3 (fun pe ty instance -> Resource.Hw_core { pe; ty; instance }) field field field;
+      map (fun cl -> Resource.Link cl) field;
+    ]
+
+let prop_resource_order_polymorphic =
+  QCheck.Test.make ~name:"resource compare = polymorphic compare; equal, hash agree"
+    ~count:2000
+    (QCheck.make ~print:(fun (a, b) -> Format.asprintf "%a vs %a" Resource.pp a Resource.pp b)
+       QCheck.Gen.(pair resource_gen resource_gen))
+    (fun (a, b) ->
+      let c = Resource.compare a b in
+      Int.compare c 0 = Int.compare (Stdlib.compare a b) 0
+      && Resource.equal a b = (c = 0)
+      && ((not (Resource.equal a b)) || Resource.hash a = Resource.hash b))
+
 let () =
   Alcotest.run "mm_sched"
     [
@@ -429,6 +457,7 @@ let () =
           Alcotest.test_case "lateness" `Quick test_lateness;
           Alcotest.test_case "overlap caught" `Quick test_validate_catches_overlap;
           Alcotest.test_case "precedence caught" `Quick test_validate_catches_precedence;
+          QCheck_alcotest.to_alcotest prop_resource_order_polymorphic;
         ] );
       ( "gantt",
         [
