@@ -13,7 +13,7 @@
      table2   Tab. 2 — same with DVS (SW processors and HW rails)
      table3   Tab. 3 — smart phone, w/o and with DVS
      ablation improvement operators / HW-rail DVS / population size
-     parallel domain-pool speedup + eval-cache hit rates (BENCH_parallel.json)
+     parallel domain-pool speedup + island-model grid (BENCH_parallel.json)
      eval     compiled evaluation kernels before/after (BENCH_eval_kernel.json)
      soak     checkpoint/kill/resume recovery overhead (BENCH_soak.json)
      serve    mmsynthd throughput and latency percentiles (BENCH_serve.json)
@@ -195,7 +195,6 @@ let proposed_power ~ga ~dvs ~use_improvements ~spec ~seeds =
       use_improvements;
       restarts = Synthesis.default_config.Synthesis.restarts;
       jobs = Synthesis.default_config.Synthesis.jobs;
-      eval_cache = Synthesis.default_config.Synthesis.eval_cache;
       delta = Synthesis.default_config.Synthesis.delta;
       audit = false;
       islands = Synthesis.default_config.Synthesis.islands;
@@ -342,7 +341,6 @@ let ablation_scheduler_policy options =
             use_improvements = true;
             restarts = Synthesis.default_config.Synthesis.restarts;
             jobs = Synthesis.default_config.Synthesis.jobs;
-            eval_cache = Synthesis.default_config.Synthesis.eval_cache;
             delta = Synthesis.default_config.Synthesis.delta;
             audit = false;
             islands = Synthesis.default_config.Synthesis.islands;
@@ -477,7 +475,7 @@ let parallel options =
   let timings =
     List.map
       (fun jobs ->
-        let config = { Synthesis.default_config with ga; jobs; eval_cache = 0 } in
+        let config = { Synthesis.default_config with ga; jobs } in
         Mm_obs.Metrics.reset ();
         let seconds, result = wall_of config spec in
         let phases = phase_sample () in
@@ -499,7 +497,7 @@ let parallel options =
   let t =
     Table.create
       ~title:
-        (Printf.sprintf "mul6, seed %d, cache off, %d CPU core(s) available" seed
+        (Printf.sprintf "mul6, seed %d, %d CPU core(s) available" seed
            (Domain.recommended_domain_count ()))
       ~columns:
         [
@@ -547,9 +545,7 @@ let parallel options =
   let island_rows =
     List.map
       (fun (jobs, islands) ->
-        let config =
-          { Synthesis.default_config with ga; jobs; islands; eval_cache = 0 }
-        in
+        let config = { Synthesis.default_config with ga; jobs; islands } in
         let seconds, result = wall_of config spec in
         Format.printf "  %d job%s x %d island%s done@?@." jobs
           (if jobs = 1 then "" else "s")
@@ -605,41 +601,6 @@ let parallel options =
     else if island_candidates = [] then "no non-degraded islands>=2 row"
     else ""
   in
-  let cache_rows =
-    List.map
-      (fun i ->
-        let spec = Random_system.mul i in
-        let config = { Synthesis.default_config with ga; jobs = 1 } in
-        let seconds, result = wall_of config spec in
-        let nocache =
-          { Synthesis.default_config with ga; jobs = 1; eval_cache = 0 }
-        in
-        let nocache_seconds, _ = wall_of nocache spec in
-        let hits = result.Synthesis.cache_hits in
-        let total = hits + result.Synthesis.evaluations in
-        let rate = if total = 0 then 0.0 else float_of_int hits /. float_of_int total in
-        (Printf.sprintf "mul%d" i, hits, result.Synthesis.evaluations, rate, seconds,
-         nocache_seconds))
-      (List.init 12 (fun k -> k + 1))
-  in
-  let ct =
-    Table.create ~title:"evaluation cache on table1 workloads (serial)"
-      ~columns:
-        [ "Benchmark"; "hits"; "evaluations"; "hit rate"; "cached (s)"; "uncached (s)" ]
-  in
-  List.iter
-    (fun (label, hits, evals, rate, seconds, nocache_seconds) ->
-      Table.add_row ct
-        [
-          label;
-          string_of_int hits;
-          string_of_int evals;
-          Printf.sprintf "%.1f%%" (100.0 *. rate);
-          Printf.sprintf "%.2f" seconds;
-          Printf.sprintf "%.2f" nocache_seconds;
-        ])
-    cache_rows;
-  Table.print ct;
   (* Machine-readable baseline. *)
   let path = "BENCH_parallel.json" in
   let oc = open_out path in
@@ -678,24 +639,13 @@ let parallel options =
     island_rows;
   p "  ],\n";
   if gate_skipped then
-    p "  \"island_gate\": { \"skipped\": true, \"reason\": %S, \"cpu_cores\": %d },\n"
+    p "  \"island_gate\": { \"skipped\": true, \"reason\": %S, \"cpu_cores\": %d }\n"
       gate_reason cores
   else
     p
       "  \"island_gate\": { \"skipped\": false, \"cpu_cores\": %d, \
-       \"islands1_wall_seconds\": %.3f, \"best_island_wall_seconds\": %.3f },\n"
+       \"islands1_wall_seconds\": %.3f, \"best_island_wall_seconds\": %.3f }\n"
       cores island_base best_island_wall;
-  p "  \"cache\": [\n";
-  List.iteri
-    (fun i (label, hits, evals, rate, seconds, nocache_seconds) ->
-      p
-        "    { \"workload\": \"%s\", \"hits\": %d, \"evaluations\": %d, \
-         \"hit_rate\": %.4f, \"wall_seconds\": %.3f, \"uncached_wall_seconds\": %.3f \
-         }%s\n"
-        label hits evals rate seconds nocache_seconds
-        (if i = List.length cache_rows - 1 then "" else ","))
-    cache_rows;
-  p "  ]\n";
   p "}\n";
   close_out oc;
   Format.printf "wrote %s@." path;
@@ -973,8 +923,11 @@ let eval_kernel options =
   in
   (* Delta evaluation over a mutation stream: parents evaluated in full,
      children through [Fitness.evaluate_delta], float-bit checked against
-     the full pipeline.  One untimed warm-up pass keeps the shared
-     per-mode caches from favouring whichever side runs second. *)
+     the full pipeline on every pass.  One untimed warm-up pass keeps the
+     shared per-mode caches from favouring whichever side runs second.
+     A quick-mode pass takes only 1–3 ms, so each side is timed as the
+     median of [passes] alternating full/delta passes rather than by one
+     pass that a single scheduler hiccup can swing past the gate floor. *)
   let delta_stats (_, spec) =
     let counts = Spec.gene_counts spec in
     let rng = Prng.create ~seed:13 in
@@ -1003,33 +956,38 @@ let eval_kernel options =
             kids)
         stream
     in
-    ignore (full_pass ());
-    let full_fitness = ref [] in
-    let full_seconds = time (fun () -> full_fitness := full_pass ()) in
-    Mm_obs.Metrics.reset ();
-    let delta_fitness = ref [] in
-    let delta_seconds =
-      time (fun () ->
-          delta_fitness :=
-            List.map
-              (fun (parent, kids) ->
-                let parent_eval = Fitness.evaluate config spec parent in
-                List.map
-                  (fun (child, dirty) ->
-                    (Fitness.evaluate_delta config spec ~parent:parent_eval ~dirty
-                       child)
-                      .Fitness.fitness)
-                  kids)
-              stream)
+    let delta_pass () =
+      List.map
+        (fun (parent, kids) ->
+          let parent_eval = Fitness.evaluate config spec parent in
+          List.map
+            (fun (child, dirty) ->
+              (Fitness.evaluate_delta config spec ~parent:parent_eval ~dirty child)
+                .Fitness.fitness)
+            kids)
+        stream
     in
-    let snap = Mm_obs.Metrics.snapshot () in
-    List.iter2
-      (List.iter2 (fun a b ->
-           if Int64.bits_of_float a <> Int64.bits_of_float b then begin
-             Printf.eprintf "BUG: delta evaluation diverged from the full pipeline\n%!";
-             exit 1
-           end))
-      !full_fitness !delta_fitness;
+    ignore (full_pass ());
+    let passes = 9 in
+    let full_times = ref [] and delta_times = ref [] and snap = ref None in
+    for k = 1 to passes do
+      let full_fitness = ref [] and delta_fitness = ref [] in
+      full_times := time (fun () -> full_fitness := full_pass ()) :: !full_times;
+      (* The delta counters are read from the first delta pass alone. *)
+      if k = 1 then Mm_obs.Metrics.reset ();
+      delta_times := time (fun () -> delta_fitness := delta_pass ()) :: !delta_times;
+      if k = 1 then snap := Some (Mm_obs.Metrics.snapshot ());
+      List.iter2
+        (List.iter2 (fun a b ->
+             if Int64.bits_of_float a <> Int64.bits_of_float b then begin
+               Printf.eprintf "BUG: delta evaluation diverged from the full pipeline\n%!";
+               exit 1
+             end))
+        !full_fitness !delta_fitness
+    done;
+    let full_seconds = Stats.median !full_times in
+    let delta_seconds = Stats.median !delta_times in
+    let snap = Option.get !snap in
     ( n_parents,
       n_children,
       full_seconds,

@@ -215,12 +215,6 @@ let migrants_arg =
           "Members each island exports to its ring successor per migration epoch \
            (0 disables migration; only meaningful with $(b,--islands) > 1).")
 
-let no_eval_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-eval-cache" ]
-        ~doc:"Disable the genome-evaluation memoization cache (enabled by default).")
-
 let trace_arg =
   Arg.(
     value
@@ -546,7 +540,7 @@ let with_obs ~trace ~trace_jsonl ~trace_fine ~metrics ~log_level f =
     Error (`Msg message)
   | exception Fun.Finally_raised (Sys_error message) -> Error (`Msg message)
 
-let config_of ?(jobs = 1) ?(no_eval_cache = false) ?(audit = false)
+let config_of ?(jobs = 1) ?(audit = false)
     ?(islands = Synthesis.default_config.Synthesis.islands)
     ?(migration_interval = Synthesis.default_config.Synthesis.migration_interval)
     ?(migration_count = Synthesis.default_config.Synthesis.migration_count)
@@ -573,7 +567,6 @@ let config_of ?(jobs = 1) ?(no_eval_cache = false) ?(audit = false)
         population_size = population;
       };
     jobs;
-    eval_cache = (if no_eval_cache then 0 else Synthesis.default_eval_cache);
   }
 
 (* Synthesis done: Monte Carlo the device fleet against the winning
@@ -755,7 +748,7 @@ let with_kill_switch ~kill_after save =
       if !written >= n then Unix.kill (Unix.getpid ()) Sys.sigkill
 
 let synth name force audit seed dvs uniform generations population jobs islands
-    migration_every migrants allow_oversubscribe no_eval_cache robust robust_samples
+    migration_every migrants allow_oversubscribe robust robust_samples
     robust_objective fleet devices usage batch fleet_seed fleet_horizon checkpoint
     checkpoint_every resume kill_after trace trace_jsonl trace_fine metrics
     log_level =
@@ -763,7 +756,7 @@ let synth name force audit seed dvs uniform generations population jobs islands
   let* spec = spec_of_benchmark ~force name in
   let jobs = effective_jobs ~allow_oversubscribe jobs in
   let config =
-    config_of ~jobs ~no_eval_cache ~audit ~islands ~migration_interval:migration_every
+    config_of ~jobs ~audit ~islands ~migration_interval:migration_every
       ~migration_count:migrants
       ~robust:(robust_of ~robust ~robust_samples ~robust_objective)
       ~dvs ~uniform ~generations ~population ()
@@ -824,7 +817,7 @@ let synth_cmd =
         (const synth $ benchmark_arg $ force_arg $ audit_arg $ seed_arg $ dvs_arg
        $ uniform_arg $ generations_arg $ population_arg $ jobs_arg $ islands_arg
        $ migration_every_arg $ migrants_arg
-       $ allow_oversubscribe_arg $ no_eval_cache_arg $ robust_arg
+       $ allow_oversubscribe_arg $ robust_arg
        $ robust_samples_arg $ robust_objective_arg $ fleet_flag $ devices_arg
        $ usage_arg $ batch_arg $ fleet_seed_arg $ fleet_horizon_arg $ checkpoint_arg
        $ checkpoint_every_arg $ resume_arg $ kill_after_arg $ trace_arg
@@ -838,7 +831,7 @@ let synth_cmd =
 (* --- compare ------------------------------------------------------------------ *)
 
 let compare_cmd_impl name force audit seed dvs runs generations population jobs
-    islands migration_every migrants allow_oversubscribe no_eval_cache robust
+    islands migration_every migrants allow_oversubscribe robust
     robust_samples robust_objective fleet devices usage batch fleet_seed
     fleet_horizon checkpoint resume kill_after trace trace_jsonl trace_fine metrics
     log_level =
@@ -853,7 +846,6 @@ let compare_cmd_impl name force audit seed dvs runs generations population jobs
     }
   in
   let dvs = if dvs then Fitness.Dvs Mm_dvs.Scaling.default_config else Fitness.No_dvs in
-  let eval_cache = if no_eval_cache then 0 else Synthesis.default_eval_cache in
   let* resume =
     match resume with
     | None -> Ok None
@@ -880,7 +872,7 @@ let compare_cmd_impl name force audit seed dvs runs generations population jobs
       checkpoint
   in
   let* c =
-    match Experiment.compare ~ga ~dvs ~jobs ~eval_cache ~audit ~islands
+    match Experiment.compare ~ga ~dvs ~jobs ~audit ~islands
             ~migration_interval:migration_every ~migration_count:migrants
             ~robust:(robust_of ~robust ~robust_samples ~robust_objective)
             ?checkpoint ?resume ~spec ~runs ~seed ()
@@ -935,7 +927,7 @@ let compare_cmd =
         (const compare_cmd_impl $ benchmark_arg $ force_arg $ audit_arg $ seed_arg
        $ dvs_arg $ runs_arg $ generations_arg $ population_arg $ jobs_arg
        $ islands_arg $ migration_every_arg $ migrants_arg
-       $ allow_oversubscribe_arg $ no_eval_cache_arg $ robust_arg
+       $ allow_oversubscribe_arg $ robust_arg
        $ robust_samples_arg $ robust_objective_arg $ fleet_flag $ devices_arg
        $ usage_arg $ batch_arg $ fleet_seed_arg $ fleet_horizon_arg $ checkpoint_arg
        $ resume_arg $ kill_after_arg $ trace_arg $ trace_jsonl_arg $ trace_fine_arg
@@ -1091,7 +1083,6 @@ let anneal name seed dvs steps =
       eval = result.Mm_cosynth.Annealing.eval;
       generations = 0;
       evaluations = result.Mm_cosynth.Annealing.evaluations;
-      cache_hits = 0;
       cpu_seconds = result.Mm_cosynth.Annealing.cpu_seconds;
       history = [];
       audit = None;

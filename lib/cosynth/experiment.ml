@@ -20,7 +20,6 @@ type run_summary = {
   cpu_seconds : float;
   generations : int;
   evaluations : int;
-  cache_hits : int;
   history : float list;
 }
 
@@ -38,11 +37,10 @@ let summarize_run (r : Synthesis.result) =
     cpu_seconds = r.Synthesis.cpu_seconds;
     generations = r.Synthesis.generations;
     evaluations = r.Synthesis.evaluations;
-    cache_hits = r.Synthesis.cache_hits;
     history = r.Synthesis.history;
   }
 
-let run_arm ~ga ~dvs ~use_improvements ~restarts ~jobs ~eval_cache ~audit ~islands
+let run_arm ~ga ~dvs ~use_improvements ~restarts ~jobs ~audit ~islands
     ~migration_interval ~migration_count ~robust ~weighting ~spec ~runs ~seed
     ~completed ~on_run =
   if runs <= 0 then invalid_arg "Experiment.compare: runs must be positive";
@@ -56,7 +54,6 @@ let run_arm ~ga ~dvs ~use_improvements ~restarts ~jobs ~eval_cache ~audit ~islan
       use_improvements;
       restarts;
       jobs;
-      eval_cache;
       delta = Synthesis.default_config.Synthesis.delta;
       audit;
       islands;
@@ -65,27 +62,11 @@ let run_arm ~ga ~dvs ~use_improvements ~restarts ~jobs ~eval_cache ~audit ~islan
       robust;
     }
   in
-  (* One cache per arm, shared across its repeated runs: later runs reuse
-     evaluations the earlier ones already paid for.  Sharing cannot
-     change any synthesised result (evaluation is pure, cached values
-     exact); the statistics reset keeps each run's hit-rate figures
-     clean of its predecessors' traffic.  A resumed arm starts with a
-     cold cache, so evaluation counts of its remaining runs can differ
-     from the uninterrupted arm's — synthesised powers never do. *)
-  let cache =
-    (* Pointless under the island model: Synthesis ignores a shared
-       cache there (each island keeps a private one, see
-       {!Synthesis.run}). *)
-    if eval_cache > 0 && islands <= 1 then
-      Some (Mm_parallel.Memo.adaptive ~capacity:eval_cache)
-    else None
-  in
   (* Oldest-first; replayed runs carry no [Synthesis.result] — if one of
      them ends up best, the result is rebuilt from its genome below. *)
   let pairs = ref (List.map (fun s -> (s, None)) completed) in
   for r = List.length completed to runs - 1 do
-    Option.iter Mm_parallel.Memo.reset_stats cache;
-    let result = Synthesis.run ~config ?cache ~spec ~seed:(seed + r) () in
+    let result = Synthesis.run ~config ~spec ~seed:(seed + r) () in
     pairs := !pairs @ [ (summarize_run result, Some result) ];
     match on_run with
     | None -> ()
@@ -122,7 +103,6 @@ let run_arm ~ga ~dvs ~use_improvements ~restarts ~jobs ~eval_cache ~audit ~islan
         eval = Fitness.evaluate fitness spec best_summary.genome;
         generations = best_summary.generations;
         evaluations = best_summary.evaluations;
-        cache_hits = best_summary.cache_hits;
         cpu_seconds = best_summary.cpu_seconds;
         history = best_summary.history;
         audit = None;
@@ -133,8 +113,7 @@ let run_arm ~ga ~dvs ~use_improvements ~restarts ~jobs ~eval_cache ~audit ~islan
 
 let compare ?(ga = Mm_ga.Engine.default_config) ?(dvs = Fitness.No_dvs)
     ?(use_improvements = true) ?(restarts = Synthesis.default_config.Synthesis.restarts)
-    ?(jobs = Synthesis.default_config.Synthesis.jobs)
-    ?(eval_cache = Synthesis.default_config.Synthesis.eval_cache) ?(audit = false)
+    ?(jobs = Synthesis.default_config.Synthesis.jobs) ?(audit = false)
     ?(islands = Synthesis.default_config.Synthesis.islands)
     ?(migration_interval = Synthesis.default_config.Synthesis.migration_interval)
     ?(migration_count = Synthesis.default_config.Synthesis.migration_count)
@@ -152,7 +131,7 @@ let compare ?(ga = Mm_ga.Engine.default_config) ?(dvs = Fitness.No_dvs)
   let baseline_done = match resume with None -> [] | Some st -> st.baseline_done in
   let proposed_done = match resume with None -> [] | Some st -> st.proposed_done in
   let without_probabilities, baseline_all =
-    run_arm ~ga ~dvs ~use_improvements ~restarts ~jobs ~eval_cache ~audit ~islands
+    run_arm ~ga ~dvs ~use_improvements ~restarts ~jobs ~audit ~islands
       ~migration_interval ~migration_count ~robust ~weighting:Fitness.Uniform ~spec
       ~runs ~seed ~completed:baseline_done
       ~on_run:
@@ -162,7 +141,7 @@ let compare ?(ga = Mm_ga.Engine.default_config) ?(dvs = Fitness.No_dvs)
            checkpoint)
   in
   let with_probabilities, _ =
-    run_arm ~ga ~dvs ~use_improvements ~restarts ~jobs ~eval_cache ~audit ~islands
+    run_arm ~ga ~dvs ~use_improvements ~restarts ~jobs ~audit ~islands
       ~migration_interval ~migration_count ~robust
       ~weighting:Fitness.True_probabilities ~spec ~runs ~seed
       ~completed:proposed_done

@@ -24,7 +24,6 @@ type run_summary = {
   cpu_seconds : float;
   generations : int;
   evaluations : int;
-  cache_hits : int;
   history : float list;
 }
 (** One completed synthesis run of an arm, reduced to what resuming the
@@ -50,7 +49,6 @@ val compare :
   ?use_improvements:bool ->
   ?restarts:int ->
   ?jobs:int ->
-  ?eval_cache:int ->
   ?audit:bool ->
   ?islands:int ->
   ?migration_interval:int ->
@@ -65,9 +63,8 @@ val compare :
   comparison
 (** [runs] repeated synthesis runs per arm (the paper used 40), seeded
     [seed], [seed+1], …; both arms share seeds so the comparison is
-    paired.  [jobs] and [eval_cache] are forwarded to
-    {!Synthesis.config}; neither changes the synthesised results, only
-    how fast they are computed.  [islands], [migration_interval] and
+    paired.  [jobs] is forwarded to {!Synthesis.config}; it never
+    changes the synthesised results, only how fast they are computed.  [islands], [migration_interval] and
     [migration_count] select the island-model GA for every run of both
     arms — unlike [jobs] they {e do} change each run's trajectory (see
     {!Synthesis.config}), but both arms share the topology so the
@@ -78,7 +75,5 @@ val compare :
     [checkpoint] is called with the comparison's {!state} after every
     completed run; [resume] skips the runs a state already holds.  The
     resumed comparison's powers and best mappings are bit-identical to
-    the uninterrupted one's; evaluation counts of runs executed after a
-    resume can differ because the arm's shared memo cache restarts cold.
-    Raises [Invalid_argument] when the state's seed/runs bookkeeping
+    the uninterrupted one's, and so are its evaluation counts.  Raises [Invalid_argument] when the state's seed/runs bookkeeping
     does not match this comparison. *)

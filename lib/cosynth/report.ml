@@ -56,9 +56,9 @@ let pp_eval spec ppf (eval : Fitness.eval) =
 
 let pp_result spec ppf (result : Synthesis.result) =
   pp_eval spec ppf result.Synthesis.eval;
-  Format.fprintf ppf "GA: %d generations, %d evaluations (%d cache hits), %.2fs CPU@."
+  Format.fprintf ppf "GA: %d generations, %d evaluations, %.2fs CPU@."
     result.Synthesis.generations result.Synthesis.evaluations
-    result.Synthesis.cache_hits result.Synthesis.cpu_seconds;
+    result.Synthesis.cpu_seconds;
   match result.Synthesis.audit with
   | None -> ()
   | Some report ->

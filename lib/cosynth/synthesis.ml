@@ -2,7 +2,6 @@ module Prng = Mm_util.Prng
 module Engine = Mm_ga.Engine
 module Islands = Mm_ga.Islands
 module Pool = Mm_parallel.Pool
-module Memo = Mm_parallel.Memo
 module Log = Mm_obs.Log
 
 (* Coarse spans: one per synthesis run, one per GA restart inside it,
@@ -24,7 +23,6 @@ type config = {
   use_improvements : bool;
   restarts : int;
   jobs : int;
-  eval_cache : int;
   delta : bool;
   audit : bool;
   islands : int;
@@ -33,8 +31,6 @@ type config = {
   robust : robust_usage option;
 }
 
-let default_eval_cache = 8192
-
 let default_config =
   {
     fitness = Fitness.default_config;
@@ -42,7 +38,6 @@ let default_config =
     use_improvements = true;
     restarts = 2;
     jobs = 1;
-    eval_cache = default_eval_cache;
     delta = true;
     audit = false;
     islands = 1;
@@ -97,14 +92,11 @@ let effective_fitness_config config ~spec ~seed =
           Some { Fitness.psis; battery = r.battery; objective = r.objective };
       }
 
-type cache = (float * Fitness.eval) Memo.t
-
 type restart_summary = {
   r_genome : int array;
   r_fitness : float;
   r_generations : int;
   r_evaluations : int;
-  r_cache_hits : int;
   r_history : float list;
 }
 
@@ -133,14 +125,13 @@ type progress = {
   p_generation : int;
   p_best_fitness : float;
   p_evaluations : int;
-  p_cache_hits : int;
 }
 
 (* Everything that can change the synthesis trajectory for a given seed
-   goes into the fingerprint; [jobs], [eval_cache] and [delta] are
-   deliberately absent because the evaluation strategy never perturbs
-   the result (see the determinism note in the module doc).  Floats are printed in hex so
-   the fingerprint compares them bit-for-bit. *)
+   goes into the fingerprint; [jobs] and [delta] are deliberately
+   absent because neither perturbs the result (see the determinism note
+   in the module doc).  Floats are printed in hex so the fingerprint
+   compares them bit-for-bit. *)
 let config_fingerprint config =
   let weighting =
     match config.fitness.Fitness.weighting with
@@ -207,7 +198,6 @@ type result = {
   eval : Fitness.eval;
   generations : int;
   evaluations : int;
-  cache_hits : int;
   cpu_seconds : float;
   history : float list;
   audit : Audit.report option;
@@ -324,8 +314,8 @@ let anchors spec =
   let all = match greedy_timing_anchor spec with Some g -> base @ [ g ] | None -> base in
   List.sort_uniq compare all
 
-let run ?(config = default_config) ?cache ?checkpoint ?resume ?yield ?pool
-    ~spec ~seed () =
+let run ?(config = default_config) ?checkpoint ?resume ?yield ?pool ~spec ~seed
+    () =
   Mm_obs.Probe.run ~args:(fun () -> [ ("seed", string_of_int seed) ]) p_run
   @@ fun () ->
   let fingerprint = config_fingerprint config in
@@ -361,19 +351,13 @@ let run ?(config = default_config) ?cache ?checkpoint ?resume ?yield ?pool
         (fun genome ->
           let eval = Fitness.evaluate fitness_config spec genome in
           (eval.Fitness.fitness, eval));
-      (* The fitness pipeline is a pure function of the genome, which is
-         what licenses pooling and caching at all. *)
-      pure = true;
       improvements = (if config.use_improvements then Improvement.all spec else []);
       initial = anchors spec;
     }
   in
-  (* One pool and one cache for the whole run: restarts re-inject the
-     anchor genomes and re-converge over similar populations, so sharing
-     the cache across them is where many of the hits come from.  An
-     externally supplied pool (the daemon shares one across all jobs) is
-     used as-is and never shut down here — its owner may be multiplexing
-     other runs over it. *)
+  (* One pool for the whole run.  An externally supplied pool (the daemon
+     shares one across all jobs) is used as-is and never shut down here —
+     its owner may be multiplexing other runs over it. *)
   let owned_pool =
     match pool with
     | Some _ -> None
@@ -391,30 +375,9 @@ let run ?(config = default_config) ?cache ?checkpoint ?resume ?yield ?pool
      whole context and discard K-1 copies.  Warmed here, every domain
      shares the one read-only context. *)
   if pool <> None || use_islands then ignore (Spec.compiled spec);
-  let cache =
-    (* An externally supplied cache (shared across runs by the experiment
-       harness) wins over the per-run one; caching is exact, so sharing
-       changes evaluation counts but never a synthesised result.  The
-       island model ignores both: islands evaluate on worker domains,
-       where a shared cache would be a data race, so each island gets a
-       private adaptive cache from [Islands.run] instead. *)
-    match cache with
-    | Some _ -> if use_islands then None else cache
-    | None ->
-      if config.eval_cache > 0 && not use_islands then
-        Some (Memo.adaptive ~capacity:config.eval_cache)
-      else None
-  in
-  let strategy =
-    match (pool, cache) with
-    | None, None -> Engine.Serial
-    | Some p, None -> Engine.Pooled p
-    | None, Some c -> Engine.Cached c
-    | Some p, Some c -> Engine.Cached_pooled (p, c)
-  in
   (* Delta evaluation is exact (Fitness.evaluate_delta is bit-identical
-     to Fitness.evaluate), so like [jobs] and [eval_cache] it changes
-     wall time only, never the trajectory. *)
+     to Fitness.evaluate), so like [jobs] it changes wall time only,
+     never the trajectory. *)
   let delta =
     if config.delta then
       Some
@@ -450,7 +413,6 @@ let run ?(config = default_config) ?cache ?checkpoint ?resume ?yield ?pool
       r_fitness = r.Engine.best_fitness;
       r_generations = r.Engine.generations;
       r_evaluations = r.Engine.evaluations;
-      r_cache_hits = r.Engine.cache_hits;
       r_history = r.Engine.history;
     }
   in
@@ -550,13 +512,10 @@ let run ?(config = default_config) ?cache ?checkpoint ?resume ?yield ?pool
                               infinity;
                           p_evaluations =
                             fold (fun acc m -> acc + m.Engine.evaluations) 0;
-                          p_cache_hits =
-                            fold (fun acc m -> acc + m.Engine.cache_hits) 0;
                         })
             in
             let r =
-              Islands.run ~config:config.ga ~topology ?pool
-                ~cache_capacity:config.eval_cache ?delta ?on_epoch
+              Islands.run ~config:config.ga ~topology ?pool ?delta ?on_epoch
                 ?resume:resume_islands ~rng:child_rng problem
             in
             let best = r.Islands.best in
@@ -565,7 +524,6 @@ let run ?(config = default_config) ?cache ?checkpoint ?resume ?yield ?pool
                 r_fitness = best.Engine.best_fitness;
                 r_generations = r.Islands.generations;
                 r_evaluations = r.Islands.evaluations;
-                r_cache_hits = r.Islands.cache_hits;
                 r_history = best.Engine.history;
               },
               best.Engine.best_info )
@@ -601,11 +559,10 @@ let run ?(config = default_config) ?cache ?checkpoint ?resume ?yield ?pool
                           p_generation = ck.Engine.generation;
                           p_best_fitness = snd ck.Engine.best;
                           p_evaluations = ck.Engine.evaluations;
-                          p_cache_hits = ck.Engine.cache_hits;
                         })
             in
             let result =
-              Engine.run ~config:config.ga ~strategy ?delta ?on_generation
+              Engine.run ~config:config.ga ?pool ?delta ?on_generation
                 ?resume:resume_engine ~rng:child_rng problem
             in
             (summarize result, result.Engine.best_info)
@@ -640,7 +597,6 @@ let run ?(config = default_config) ?cache ?checkpoint ?resume ?yield ?pool
               p_generation = summary.r_generations;
               p_best_fitness = summary.r_fitness;
               p_evaluations = summary.r_evaluations;
-              p_cache_hits = summary.r_cache_hits;
             })
   done;
   let cpu_seconds = Sys.time () -. started in
@@ -686,7 +642,6 @@ let run ?(config = default_config) ?cache ?checkpoint ?resume ?yield ?pool
     eval;
     generations = total (fun s -> s.r_generations);
     evaluations = total (fun s -> s.r_evaluations);
-    cache_hits = total (fun s -> s.r_cache_hits);
     cpu_seconds;
     history = best_summary.r_history;
     audit;

@@ -4,9 +4,9 @@
     A single [run] synthesises one implementation candidate set and
     returns the best mapping found, its full evaluation and run
     statistics.  Determinism: equal [seed]s give equal results — also
-    across [jobs] and [eval_cache] settings, because fitness evaluation
-    is a pure function of the genome and all randomness is consumed
-    while breeding, before evaluation batches are dispatched. *)
+    across [jobs] settings, because fitness evaluation is a pure
+    function of the genome and all randomness is consumed while
+    breeding, before evaluation batches are dispatched. *)
 
 type robust_usage = {
   model : Mm_energy.Fleet_sim.usage_model;
@@ -30,21 +30,17 @@ type config = {
   jobs : int;
       (** Domains evaluating each generation's offspring batch; [<= 1]
           keeps evaluation on the calling domain (default 1). *)
-  eval_cache : int;
-      (** Capacity of the genome→evaluation memoization cache shared
-          across the run's restarts; [0] disables caching (default
-          {!default_eval_cache}). *)
   delta : bool;
       (** Evaluate offspring through {!Fitness.evaluate_delta} when the
           engine knows the genes they differ from their parent in
           (default true).  Delta evaluation is bit-identical to the full
-          path, so like [jobs]/[eval_cache] it changes wall time only
-          and is absent from {!config_fingerprint}. *)
+          path, so like [jobs] it changes wall time only and is absent
+          from {!config_fingerprint}. *)
   audit : bool;
       (** Re-derive the winning evaluation's schedules, DVS math and
           penalty claims through {!Audit.check} and attach the report to
           the result (default false; the [--audit] CLI flag and the test
-          suite force it on).  Like [jobs]/[eval_cache], auditing never
+          suite force it on).  Like [jobs], auditing never
           perturbs the synthesis trajectory, so it is absent from
           {!config_fingerprint}. *)
   islands : int;
@@ -74,15 +70,11 @@ type config = {
 
 val default_config : config
 
-val default_eval_cache : int
-(** 8192 entries — a few dozen converged mul-scale GA runs' worth. *)
-
 type result = {
   genome : int array;
   eval : Fitness.eval;
   generations : int;
-  evaluations : int;  (** Fitness-pipeline invocations (cache hits excluded). *)
-  cache_hits : int;  (** Evaluations answered by the memo cache. *)
+  evaluations : int;  (** Fitness-pipeline invocations, full and delta. *)
   cpu_seconds : float;
       (** Process CPU time of the run (the paper's "CPU time" column).
           With [jobs > 1] this sums time across domains and can exceed
@@ -113,9 +105,6 @@ val anchors : Spec.t -> int array list
 (** {!software_anchors} plus {!greedy_timing_anchor}, deduplicated — the
     initial genomes every synthesis run is seeded with. *)
 
-type cache = (float * Fitness.eval) Mm_parallel.Memo.t
-(** The genome→evaluation memoization cache a run evaluates through. *)
-
 (** {2 Checkpoint & resume}
 
     A synthesis run can be checkpointed at every GA generation boundary
@@ -130,7 +119,6 @@ type restart_summary = {
   r_fitness : float;
   r_generations : int;
   r_evaluations : int;
-  r_cache_hits : int;
   r_history : float list;
 }
 (** What a completed GA restart contributes to the final result.  The
@@ -177,15 +165,14 @@ type progress = {
   p_generation : int;  (** Completed generations within that restart. *)
   p_best_fitness : float;
   p_evaluations : int;
-  p_cache_hits : int;
 }
 (** What the [yield] hook of {!run} sees at every generation boundary
     (and once more after each completed restart). *)
 
 val config_fingerprint : config -> string
 (** A stable digest of every configuration field that can alter the
-    synthesis trajectory for a given seed ([jobs] and [eval_cache] are
-    excluded — the evaluation strategy never perturbs results).  Stored
+    synthesis trajectory for a given seed ([jobs] is excluded — the
+    domain count never perturbs results).  Stored
     in {!run_state} and checked on resume. *)
 
 val robust_active : config -> bool
@@ -204,7 +191,6 @@ val effective_fitness_config : config -> spec:Spec.t -> seed:int -> Fitness.conf
 
 val run :
   ?config:config ->
-  ?cache:cache ->
   ?checkpoint:checkpoint_sink ->
   ?resume:run_state ->
   ?yield:(progress -> unit) ->
@@ -213,18 +199,10 @@ val run :
   seed:int ->
   unit ->
   result
-(** [cache] supplies an external memoization cache instead of the
-    per-run one [config.eval_cache] would create — the experiment
-    harness shares one cache across an arm's repeated runs (and resets
-    its statistics between them, see {!Mm_parallel.Memo.reset_stats}).
-    Because evaluation is pure and cached values are exact, a shared
-    cache never changes a synthesised result, only the evaluation
-    counts.
-
-    [checkpoint] streams {!run_state} values to a sink during the run;
+(** [checkpoint] streams {!run_state} values to a sink during the run;
     [resume] continues from one instead of starting fresh.  A resumed
     run reproduces the uninterrupted run's result bit-for-bit (except
-    [evaluations]/[cache_hits]/[cpu_seconds], which additionally count
+    [evaluations]/[cpu_seconds], which additionally count
     the restore work).  Raises [Invalid_argument] when the state's seed,
     configuration fingerprint, or restart bookkeeping does not match
     this run.

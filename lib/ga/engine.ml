@@ -1,6 +1,5 @@
 module Prng = Mm_util.Prng
 module Pool = Mm_parallel.Pool
-module Memo = Mm_parallel.Memo
 module Metrics = Mm_obs.Metrics
 
 (* GA observability: one span per generation (coarse), per-generation
@@ -11,7 +10,6 @@ module Metrics = Mm_obs.Metrics
 let p_generation = Mm_obs.Probe.create "ga/generation"
 let m_generations = Metrics.counter "ga/generations"
 let m_evaluations = Metrics.counter "ga/evaluations"
-let m_cache_hits = Metrics.counter "ga/cache_hits"
 let m_delta_evaluations = Metrics.counter "ga/delta_evaluations"
 let s_best = Metrics.series "ga/best_fitness"
 let s_mean = Metrics.series "ga/mean_fitness"
@@ -59,18 +57,11 @@ type 'info improvement = {
 type 'info problem = {
   gene_counts : int array;
   evaluate : int array -> float * 'info;
-  pure : bool;
   improvements : 'info improvement list;
   initial : int array list;
 }
 
 type 'info delta = parent:'info -> dirty:int list -> int array -> float * 'info
-
-type 'info eval_strategy =
-  | Serial
-  | Pooled of Pool.t
-  | Cached of (float * 'info) Memo.t
-  | Cached_pooled of Pool.t * (float * 'info) Memo.t
 
 type 'info result = {
   best_genome : int array;
@@ -78,7 +69,6 @@ type 'info result = {
   best_info : 'info;
   generations : int;
   evaluations : int;
-  cache_hits : int;
   history : float list;
 }
 
@@ -89,7 +79,6 @@ type checkpoint = {
   stagnation : int;
   history : float list;
   evaluations : int;
-  cache_hits : int;
   rng_state : int64;
 }
 
@@ -105,42 +94,31 @@ let ranking_weights n pressure =
         -. ((2.0 *. (pressure -. 1.0)) *. float_of_int rank /. float_of_int (n - 1)))
 
 (* Batch evaluator: all RNG-driven genome construction happens before a
-   batch is submitted, so the evaluation schedule (serial, pooled,
-   cached) cannot perturb the random stream — equal seeds give
-   bit-identical runs at any domain count.  An impure evaluator opts out
-   of both sharing (cache) and concurrency (pool); a 1-domain pool
-   degrades to the serial path.
+   batch is submitted, so the evaluation schedule (serial or pooled)
+   cannot perturb the random stream — equal seeds give bit-identical
+   runs at any domain count.  A 1-domain pool degrades to the serial
+   path.
 
    Each batch item optionally carries a delta context — the parent's
    ['info] plus the genes the child differs in — consumed by the
    problem's [delta] evaluator when one is supplied.  A delta evaluator
    must be bit-identical to [problem.evaluate] (the contract of
-   {!Engine.delta}), so cache lookups, duplicate folding and resumed
-   trajectories are unaffected by which path computed a result. *)
+   {!Engine.delta}), so resumed trajectories are unaffected by which
+   path computed a result. *)
 type 'info batcher = {
   batch : (int array * ('info * int list) option) array -> 'info member array;
   evaluations : int ref;
-  cache_hits : int ref;
 }
 
-let make_batcher ?delta problem strategy =
-  let evaluations = ref 0 and cache_hits = ref 0 in
-  let pool, cache =
-    if not problem.pure then (None, None)
-    else
-      match strategy with
-      | Serial -> (None, None)
-      | Pooled p -> ((if Pool.size p > 1 then Some p else None), None)
-      | Cached c -> (None, Some c)
-      | Cached_pooled (p, c) ->
-        ((if Pool.size p > 1 then Some p else None), Some c)
-  in
+let make_batcher ?delta ?pool problem =
+  let evaluations = ref 0 in
+  let pool = match pool with Some p when Pool.size p > 1 -> Some p | _ -> None in
   let eval_one (genome, ctx) =
     match (delta, ctx) with
     | Some d, Some (parent, dirty) -> d ~parent ~dirty genome
     | _ -> problem.evaluate genome
   in
-  let eval_misses items =
+  let eval_all items =
     evaluations := !evaluations + Array.length items;
     Metrics.incr ~by:(Array.length items) m_evaluations;
     (match delta with
@@ -155,7 +133,7 @@ let make_batcher ?delta problem strategy =
     match pool with
     | Some p ->
       (* Dispatch through one flat shared slab: the gene words of every
-         miss are packed into a Bigarray and the pool items are plain
+         item are packed into a Bigarray and the pool items are plain
          indices, so the array every domain scans through the shared
          cursor is small and pointer-free, and workers reconstruct each
          genome from the slab instead of chasing per-item heap tuples.
@@ -183,54 +161,11 @@ let make_batcher ?delta problem strategy =
     | None -> Array.map eval_one items
   in
   let batch items =
-    let n = Array.length items in
-    match cache with
-    | None ->
-      let results = eval_misses items in
-      Array.init n (fun i ->
-          let fitness, info = results.(i) in
-          { genome = fst items.(i); fitness; info })
-    | Some c ->
-      let results = Array.make n None in
-      (* Entries touched by this batch are pinned until the batch ends,
-         so inserting one miss's result cannot evict another in-flight
-         entry of the same batch (see the pinning note in
-         {!Mm_parallel.Memo}). *)
-      Fun.protect ~finally:(fun () -> Memo.unpin_all c) @@ fun () ->
-      (* Misses in first-occurrence order; duplicate genomes within the
-         batch (clones of a converged population) are folded onto one
-         evaluation — under the first occurrence's delta context — and
-         counted as cache hits. *)
-      let misses = ref [] in
-      Array.iteri
-        (fun i (genome, ctx) ->
-          match Memo.find ~pin:true c genome with
-          | Some r ->
-            incr cache_hits;
-            Metrics.incr m_cache_hits;
-            results.(i) <- Some r
-          | None -> (
-            match List.find_opt (fun ((g, _), _) -> g = genome) !misses with
-            | Some (_, slots) ->
-              incr cache_hits;
-              Metrics.incr m_cache_hits;
-              slots := i :: !slots
-            | None -> misses := ((genome, ctx), ref [ i ]) :: !misses))
-        items;
-      let misses = Array.of_list (List.rev !misses) in
-      let miss_results = eval_misses (Array.map fst misses) in
-      Array.iteri
-        (fun j ((genome, _), slots) ->
-          let r = miss_results.(j) in
-          Memo.add ~pin:true c genome r;
-          List.iter (fun i -> results.(i) <- Some r) !slots)
-        misses;
-      Array.init n (fun i ->
-          match results.(i) with
-          | Some (fitness, info) -> { genome = fst items.(i); fitness; info }
-          | None -> assert false)
+    Array.mapi
+      (fun i (fitness, info) -> { genome = fst items.(i); fitness; info })
+      (eval_all items)
   in
-  { batch; evaluations; cache_hits }
+  { batch; evaluations }
 
 (* A paused run at a generation boundary: the sorted population, the
    convergence bookkeeping and the PRNG.  [step] advances it in place;
@@ -255,14 +190,14 @@ type 'info state = {
 
 let by_fitness a b = compare a.fitness b.fitness
 
-let init ?(config = default_config) ?(strategy = Serial) ?delta ?on_generation
-    ?resume ~rng problem =
+let init ?(config = default_config) ?pool ?delta ?on_generation ?resume ~rng
+    problem =
   if Array.length problem.gene_counts = 0 then invalid_arg "Engine.run: empty genome";
   if config.population_size <= 0 then invalid_arg "Engine.run: non-positive population";
   Array.iter
     (fun c -> if c <= 0 then invalid_arg "Engine.run: empty gene alphabet")
     problem.gene_counts;
-  let batcher = make_batcher ?delta problem strategy in
+  let batcher = make_batcher ?delta ?pool problem in
   let full genomes = Array.map (fun g -> (g, None)) genomes in
   List.iter
     (fun genome ->
@@ -295,7 +230,7 @@ let init ?(config = default_config) ?(strategy = Serial) ?delta ?on_generation
       check_genome ck.best;
       (* Recover the ['info] side data by re-evaluating the stored
          genomes as one batch (the best-ever genome rides along at the
-         end).  A pure evaluator must reproduce the checkpointed
+         end).  The evaluator must reproduce the checkpointed
          fitnesses bit-for-bit — a mismatch means the snapshot belongs
          to a different problem.  The restored array is NOT re-sorted:
          [Array.sort] is unstable, so only the order captured at the
@@ -308,9 +243,7 @@ let init ?(config = default_config) ?(strategy = Serial) ?delta ?on_generation
                 [| stored_genome ck.best |]))
       in
       let restore m stored_fitness =
-        if problem.pure
-           && Int64.bits_of_float m.fitness <> Int64.bits_of_float stored_fitness
-        then invalid_arg "Engine.run: checkpoint fitness mismatch (stale snapshot?)";
+        if Int64.bits_of_float m.fitness <> Int64.bits_of_float stored_fitness then invalid_arg "Engine.run: checkpoint fitness mismatch (stale snapshot?)";
         { m with fitness = stored_fitness }
       in
       let n = Array.length ck.members in
@@ -320,7 +253,6 @@ let init ?(config = default_config) ?(strategy = Serial) ?delta ?on_generation
          stack the checkpointed totals on top so the resumed run reports
          the work of the whole trajectory. *)
       batcher.evaluations := !(batcher.evaluations) + ck.evaluations;
-      batcher.cache_hits := !(batcher.cache_hits) + ck.cache_hits;
       (* The caller's [rng] is superseded: the stream continues from the
          captured state, which is what makes the resumed trajectory
          bit-identical to the uninterrupted one. *)
@@ -408,7 +340,6 @@ let to_checkpoint st =
     stagnation = st.st_stagnation;
     history = List.rev st.st_history;
     evaluations = !(st.st_batcher.evaluations);
-    cache_hits = !(st.st_batcher.cache_hits);
     rng_state = Prng.state st.st_rng;
   }
 
@@ -419,7 +350,6 @@ let to_result st =
     best_info = st.st_best.info;
     generations = st.st_generation;
     evaluations = !(st.st_batcher.evaluations);
-    cache_hits = !(st.st_batcher.cache_hits);
     history = List.rev st.st_history;
   }
 
@@ -554,7 +484,7 @@ let step st ~until =
     | Some emit -> emit (to_checkpoint st)
   done
 
-let run ?config ?strategy ?delta ?on_generation ?resume ~rng problem =
-  let st = init ?config ?strategy ?delta ?on_generation ?resume ~rng problem in
+let run ?config ?pool ?delta ?on_generation ?resume ~rng problem =
+  let st = init ?config ?pool ?delta ?on_generation ?resume ~rng problem in
   step st ~until:st.st_config.max_generations;
   to_result st

@@ -19,13 +19,10 @@
 
     Each generation's offspring are bred sequentially (selection,
     crossover, mutation and the improvement operators all consume the
-    run's PRNG) and then evaluated as one batch through an
-    {!eval_strategy}: serially, on a {!Mm_parallel.Pool} of domains,
-    through a {!Mm_parallel.Memo} genome cache, or both.  Because no
-    randomness is drawn during evaluation, the strategy cannot perturb
-    the random stream: equal seeds give bit-identical results at any
-    domain count and with or without the cache.  Only [evaluations] and
-    [cache_hits] in the {!result} depend on the strategy. *)
+    run's PRNG) and then evaluated as one batch, serially or on a
+    {!Mm_parallel.Pool} of domains.  Because no randomness is drawn
+    during evaluation, the pool cannot perturb the random stream: equal
+    seeds give bit-identical results at any domain count. *)
 
 type config = {
   population_size : int;
@@ -71,11 +68,10 @@ type 'info improvement = {
 type 'info problem = {
   gene_counts : int array;
   evaluate : int array -> float * 'info;
-  pure : bool;
-      (** Whether [evaluate] is a pure function of the genome: no
-          internal randomness, no observable side effects, thread-safe.
-          Impure evaluators are never cached and never run on a pool —
-          any {!eval_strategy} silently degrades to {!Serial}. *)
+      (** Must be a pure function of the genome: no internal randomness,
+          no observable side effects, thread-safe.  Batches may run on a
+          pool, and checkpoint resume re-evaluates stored genomes and
+          requires bit-identical fitnesses. *)
   improvements : 'info improvement list;
   initial : int array list;
       (** Genomes injected into the initial population (e.g. known-
@@ -90,35 +86,17 @@ type 'info delta = parent:'info -> dirty:int list -> int array -> float * 'info
     parent (whose side data is [parent]) exactly at the ascending genome
     positions [dirty].  MUST return float-bit-identical results to
     [problem.evaluate genome] — the engine freely substitutes one for
-    the other (cache entries, duplicate folding, checkpoint resume all
-    assume it), so an inexact delta silently corrupts trajectories.
+    the other (checkpoint resume assumes it), so an inexact delta
+    silently corrupts trajectories.
     The engine derives [dirty] with {!Genome.diff} after crossover,
     mutation and improvement operators have all run. *)
-
-type 'info eval_strategy =
-  | Serial  (** Evaluate offspring one after another on the calling domain. *)
-  | Pooled of Mm_parallel.Pool.t
-      (** Fan each batch out over the pool's domains (falls back to
-          {!Serial} on a 1-domain pool). *)
-  | Cached of (float * 'info) Mm_parallel.Memo.t
-      (** Answer repeated genomes from the cache; only misses are
-          evaluated.  Sharing one cache across runs (e.g. GA restarts)
-          also shares the learned evaluations. *)
-  | Cached_pooled of Mm_parallel.Pool.t * (float * 'info) Mm_parallel.Memo.t
-      (** Cache lookups on the calling domain, misses fanned out over
-          the pool. *)
 
 type 'info result = {
   best_genome : int array;
   best_fitness : float;
   best_info : 'info;
   generations : int;
-  evaluations : int;
-      (** Actual evaluator invocations (cache hits excluded). *)
-  cache_hits : int;
-      (** Evaluations avoided by the cache (0 without a cache); repeated
-          genomes within one batch count as hits of its first
-          occurrence. *)
+  evaluations : int;  (** Evaluator invocations, full and delta. *)
   history : float list;  (** Best-ever fitness after each generation, oldest first. *)
 }
 
@@ -135,7 +113,6 @@ type checkpoint = {
   stagnation : int;
   history : float list;  (** Oldest first, as in {!result}. *)
   evaluations : int;
-  cache_hits : int;
   rng_state : int64;  (** {!Mm_util.Prng.state} at the boundary. *)
 }
 (** Everything the engine needs to continue a run from a generation
@@ -161,7 +138,7 @@ type 'info state
 
 val init :
   ?config:config ->
-  ?strategy:'info eval_strategy ->
+  ?pool:Mm_parallel.Pool.t ->
   ?delta:'info delta ->
   ?on_generation:(checkpoint -> unit) ->
   ?resume:checkpoint ->
@@ -217,16 +194,16 @@ val inject : 'info state -> 'info member list -> unit
 
 val run :
   ?config:config ->
-  ?strategy:'info eval_strategy ->
+  ?pool:Mm_parallel.Pool.t ->
   ?delta:'info delta ->
   ?on_generation:(checkpoint -> unit) ->
   ?resume:checkpoint ->
   rng:Mm_util.Prng.t ->
   'info problem ->
   'info result
-(** [strategy] defaults to {!Serial}.  The optimisation trajectory —
-    [best_genome], [best_fitness], [generations], [history] — is
-    independent of the strategy; see the determinism note above.  Raises
+(** Without [pool] every batch is evaluated on the calling domain.  The
+    result is independent of the pool; see the determinism note above.
+    Raises
     [Invalid_argument] on an empty genome or a non-positive
     population.
 
@@ -243,11 +220,11 @@ val run :
     [resume] continues a run from a checkpoint instead of breeding a
     fresh population: the stored genomes are re-evaluated in one batch
     to recover their ['info] (so resuming costs one population's worth
-    of evaluations, or nothing with a warm cache), the stored fitnesses
+    of evaluations), the stored fitnesses
     and convergence state are restored verbatim, and the PRNG stream
     continues from [rng_state] — the caller's [rng] is superseded.  The
-    resumed run is bit-identical to the uninterrupted one under any
-    {!eval_strategy}.  Raises [Invalid_argument] when the checkpoint
-    does not fit the problem: wrong population size, genomes outside
-    [gene_counts], or (for a pure evaluator) stored fitnesses that the
-    evaluator no longer reproduces bit-for-bit. *)
+    resumed run is bit-identical to the uninterrupted one with or
+    without a pool.  Raises [Invalid_argument] when the checkpoint does
+    not fit the problem: wrong population size, genomes outside
+    [gene_counts], or stored fitnesses that the evaluator no longer
+    reproduces bit-for-bit. *)

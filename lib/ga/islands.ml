@@ -1,6 +1,5 @@
 module Prng = Mm_util.Prng
 module Pool = Mm_parallel.Pool
-module Memo = Mm_parallel.Memo
 module Metrics = Mm_obs.Metrics
 
 let p_epoch = Mm_obs.Probe.create "islands/epoch"
@@ -18,7 +17,6 @@ type 'info result = {
   per_island : 'info Engine.result array;
   generations : int;
   evaluations : int;
-  cache_hits : int;
 }
 
 (* One island = one Engine.state stepped to successive epoch boundaries.
@@ -30,19 +28,15 @@ type 'info result = {
    of the domain count or the schedule. *)
 
 let run ?(config = Engine.default_config) ?(topology = default_topology) ?pool
-    ?(cache_capacity = 0) ?delta ?on_epoch ?resume ~rng problem =
+    ?delta ?on_epoch ?resume ~rng problem =
   let n = topology.islands in
   if n < 1 then invalid_arg "Islands.run: need at least one island";
   let interval = max 1 topology.migration_interval in
   let count = max 0 (min topology.migration_count config.population_size) in
-  (* Each island breeds and evaluates locally — Serial, optionally
-     through a private memo cache.  The pool never sees individual
-     evaluations; it schedules whole islands, so the per-generation
-     batch fan-out/fan-in disappears from the hot path. *)
-  let strategy () =
-    if cache_capacity > 0 then Engine.Cached (Memo.adaptive ~capacity:cache_capacity)
-    else Engine.Serial
-  in
+  (* Each island breeds and evaluates serially on whatever domain steps
+     it.  The pool never sees individual evaluations; it schedules whole
+     islands, so the per-generation batch fan-out/fan-in disappears from
+     the hot path. *)
   let ring, states =
     match resume with
     | Some (ck : checkpoint) ->
@@ -55,7 +49,7 @@ let run ?(config = Engine.default_config) ?(topology = default_topology) ?pool
       ( Array.copy ck.ring,
         Array.map
           (fun (eck : Engine.checkpoint) ->
-            Engine.init ~config ~strategy:(strategy ()) ?delta ~resume:eck
+            Engine.init ~config ?delta ~resume:eck
               ~rng:(Prng.of_state eck.rng_state) problem)
           ck.members )
     | None ->
@@ -67,8 +61,7 @@ let run ?(config = Engine.default_config) ?(topology = default_topology) ?pool
       if n > 1 then Prng.shuffle (Prng.stream rng n) ring;
       ( ring,
         Array.init n (fun i ->
-            Engine.init ~config ~strategy:(strategy ()) ?delta
-              ~rng:(Prng.stream rng i) problem) )
+            Engine.init ~config ?delta ~rng:(Prng.stream rng i) problem) )
   in
   (match pool with
   | Some p when n > Pool.size p ->
@@ -95,8 +88,8 @@ let run ?(config = Engine.default_config) ?(topology = default_topology) ?pool
     match pool with
     | Some p when Array.length todo > 1 && Pool.size p > 1 ->
       (* Island stepping is NOT idempotent, so the pool must not retry
-         or abandon these jobs; pools built with [default_config] (no
-         retries, no timeout) satisfy that.  Each job touches only its
+         these jobs; pools built without [max_retries] satisfy that.
+         Each job touches only its
          own island's state, and the batch barrier publishes the
          mutations back to the owner. *)
       ignore
@@ -158,6 +151,4 @@ let run ?(config = Engine.default_config) ?(topology = default_topology) ?pool
       Array.fold_left (fun acc (r : _ Engine.result) -> acc + r.generations) 0 per_island;
     evaluations =
       Array.fold_left (fun acc (r : _ Engine.result) -> acc + r.evaluations) 0 per_island;
-    cache_hits =
-      Array.fold_left (fun acc (r : _ Engine.result) -> acc + r.cache_hits) 0 per_island;
   }

@@ -1,12 +1,12 @@
 (** An island-model GA: N independent {!Engine} populations with
     periodic deterministic migration on a seeded ring.
 
-    The batch-parallel strategies in {!Engine.eval_strategy} only fan
-    out {e evaluation}; breeding stays serial and every generation pays
-    a pool fan-out/fan-in.  The island model shards the population
-    instead: each island runs the whole GA loop — breeding {e and}
-    evaluation — locally, and the pool schedules islands, not
-    evaluations, so domains synchronise only at migration epochs.
+    A pooled {!Engine.run} only fans out {e evaluation}; breeding stays
+    serial and every generation pays a pool fan-out/fan-in.  The island
+    model shards the population instead: each island runs the whole GA
+    loop — breeding {e and} evaluation — locally, and the pool schedules
+    islands, not evaluations, so domains synchronise only at migration
+    epochs.
 
     {2 Determinism}
 
@@ -62,14 +62,12 @@ type 'info result = {
   per_island : 'info Engine.result array;
   generations : int;  (** Summed across islands (total work, not wall). *)
   evaluations : int;  (** Summed across islands. *)
-  cache_hits : int;  (** Summed across islands. *)
 }
 
 val run :
   ?config:Engine.config ->
   ?topology:topology ->
   ?pool:Mm_parallel.Pool.t ->
-  ?cache_capacity:int ->
   ?delta:'info Engine.delta ->
   ?on_epoch:(checkpoint -> unit) ->
   ?resume:checkpoint ->
@@ -85,15 +83,10 @@ val run :
     [pool] schedules one island per domain slot and round-robins when
     there are more islands than domains (a warning is printed on
     stderr, mirroring the CLI oversubscription warning).  The pool must
-    not use retry/timeout fault tolerance — island stepping is not
-    idempotent; {!Mm_parallel.Pool.default_config} is safe.  Without a
-    pool (or with a 1-domain pool) islands are stepped serially in
-    index order — bit-identical, just not parallel.
-
-    [cache_capacity > 0] gives every island a {e private}
-    {!Mm_parallel.Memo.adaptive} cache of that capacity (a shared cache
-    would be a cross-domain race; privacy also keeps lookups
-    deterministic per island).
+    not retry failed jobs — island stepping is not idempotent — so it
+    must be created without [max_retries].  Without a pool (or with a
+    1-domain pool) islands are stepped serially in index order —
+    bit-identical, just not parallel.
 
     [on_epoch] fires after every migration with a {!checkpoint} of the
     whole archipelago (copies; the callback may retain them).

@@ -61,7 +61,6 @@ let engine_fields (ck : Engine.checkpoint) =
     Sexp.field "rng" [ sexp_int64 ck.Engine.rng_state ];
     Sexp.field "stagnation" [ Sexp.int ck.Engine.stagnation ];
     Sexp.field "evaluations" [ Sexp.int ck.Engine.evaluations ];
-    Sexp.field "cache-hits" [ Sexp.int ck.Engine.cache_hits ];
     Sexp.field "history" (List.map Sexp.float ck.Engine.history);
     Sexp.field "best" [ sexp_member ck.Engine.best ];
     Sexp.field "members" (List.map sexp_member (Array.to_list ck.Engine.members));
@@ -74,7 +73,6 @@ let restart_to_sexp (s : Synthesis.restart_summary) =
       Sexp.field "fitness" [ Sexp.float s.r_fitness ];
       Sexp.field "generations" [ Sexp.int s.r_generations ];
       Sexp.field "evaluations" [ Sexp.int s.r_evaluations ];
-      Sexp.field "cache-hits" [ Sexp.int s.r_cache_hits ];
       Sexp.field "history" (List.map Sexp.float s.r_history);
     ]
 
@@ -109,7 +107,6 @@ let run_to_sexp (s : Experiment.run_summary) =
       Sexp.field "cpu-seconds" [ Sexp.float s.cpu_seconds ];
       Sexp.field "generations" [ Sexp.int s.generations ];
       Sexp.field "evaluations" [ Sexp.int s.evaluations ];
-      Sexp.field "cache-hits" [ Sexp.int s.cache_hits ];
       Sexp.field "history" (List.map Sexp.float s.history);
     ]
 
@@ -168,7 +165,6 @@ let engine_of_fields fields : Engine.checkpoint =
     rng_state = as_int64 (one "rng" fields);
     stagnation = Sexp.as_int (one "stagnation" fields);
     evaluations = Sexp.as_int (one "evaluations" fields);
-    cache_hits = Sexp.as_int (one "cache-hits" fields);
     history = List.map Sexp.as_float (Sexp.assoc "history" fields);
     best = as_member (one "best" fields);
     members = Array.of_list (List.map as_member (Sexp.assoc "members" fields));
@@ -181,7 +177,6 @@ let restart_of_sexp s : Synthesis.restart_summary =
     r_fitness = Sexp.as_float (one "fitness" fields);
     r_generations = Sexp.as_int (one "generations" fields);
     r_evaluations = Sexp.as_int (one "evaluations" fields);
-    r_cache_hits = Sexp.as_int (one "cache-hits" fields);
     r_history = List.map Sexp.as_float (Sexp.assoc "history" fields);
   }
 
@@ -217,7 +212,6 @@ let run_of_sexp s : Experiment.run_summary =
     cpu_seconds = Sexp.as_float (one "cpu-seconds" fields);
     generations = Sexp.as_int (one "generations" fields);
     evaluations = Sexp.as_int (one "evaluations" fields);
-    cache_hits = Sexp.as_int (one "cache-hits" fields);
     history = List.map Sexp.as_float (Sexp.assoc "history" fields);
   }
 

@@ -25,7 +25,9 @@
     field of the synth payload; an in-flight island-model restart
     (version 2) as [(islands (ring ...) (island ...) ...)] — the ring
     permutation plus one engine section per island, in island index
-    order.  Version-1 snapshots (no [islands] field) are still read.
+    order.  Version-1 snapshots (no [islands] field) are still read, and
+    so are snapshots carrying the [cache-hits] counters that earlier
+    builds wrote (the field is ignored).
 
     PRNG states are 64-bit words and appear as decimal atoms; floats are
     printed with {!Sexp.float}, which round-trips bit-exactly. *)

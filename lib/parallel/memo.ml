@@ -3,7 +3,6 @@
 let m_hits = Mm_obs.Metrics.counter "memo/hits"
 let m_misses = Mm_obs.Metrics.counter "memo/misses"
 let m_evictions = Mm_obs.Metrics.counter "memo/evictions"
-let m_bypassed = Mm_obs.Metrics.counter "memo/bypassed"
 
 module Key = struct
   type t = int array
@@ -34,10 +33,6 @@ type 'v node = {
 type 'v t = {
   table : 'v node H.t;
   cap : int;
-  probe_window : int;  (* lookups before the bypass decision; 0 = never *)
-  min_hit_rate : float;
-  mutable bypassed : bool;
-  mutable n_bypassed : int;  (* lookups skipped after self-disabling *)
   mutable head : 'v node option;  (* most recently used *)
   mutable tail : 'v node option;  (* least recently used *)
   mutable pins : 'v node list;  (* nodes currently exempt from eviction *)
@@ -46,15 +41,11 @@ type 'v t = {
   mutable n_evictions : int;
 }
 
-let create ?(probe_window = 0) ?(min_hit_rate = 0.1) ~capacity () =
+let create ~capacity () =
   if capacity < 1 then invalid_arg "Memo.create: capacity must be >= 1";
   {
     table = H.create (min capacity 1024);
     cap = capacity;
-    probe_window;
-    min_hit_rate;
-    bypassed = false;
-    n_bypassed = 0;
     head = None;
     tail = None;
     pins = [];
@@ -62,8 +53,6 @@ let create ?(probe_window = 0) ?(min_hit_rate = 0.1) ~capacity () =
     n_misses = 0;
     n_evictions = 0;
   }
-
-let adaptive ~capacity = create ~probe_window:1024 ~min_hit_rate:0.1 ~capacity ()
 
 let unlink t node =
   (match node.prev with Some p -> p.next <- node.next | None -> t.head <- node.next);
@@ -82,41 +71,19 @@ let pin_node t node =
     t.pins <- node :: t.pins
   end
 
-(* The adaptive bypass decision, taken exactly once when the probe
-   window fills: a cache whose hit rate never got off the ground is
-   paying hash-the-whole-genome lookups and LRU churn for nothing, so
-   it stops answering (and growing) for the rest of its life.  Because
-   a bypassed [find] is indistinguishable from a miss and results are
-   pure functions of the genome, bypassing can never change what a
-   caller computes — only how fast. *)
-let probe t =
-  if
-    t.probe_window > 0
-    && t.n_hits + t.n_misses = t.probe_window
-    && float_of_int t.n_hits < t.min_hit_rate *. float_of_int t.probe_window
-  then t.bypassed <- true
-
 let find ?(pin = false) t key =
-  if t.bypassed then begin
-    t.n_bypassed <- t.n_bypassed + 1;
-    Mm_obs.Metrics.incr m_bypassed;
+  match H.find_opt t.table key with
+  | Some node ->
+    t.n_hits <- t.n_hits + 1;
+    Mm_obs.Metrics.incr m_hits;
+    unlink t node;
+    push_front t node;
+    if pin then pin_node t node;
+    Some node.value
+  | None ->
+    t.n_misses <- t.n_misses + 1;
+    Mm_obs.Metrics.incr m_misses;
     None
-  end
-  else
-    match H.find_opt t.table key with
-    | Some node ->
-      t.n_hits <- t.n_hits + 1;
-      Mm_obs.Metrics.incr m_hits;
-      probe t;
-      unlink t node;
-      push_front t node;
-      if pin then pin_node t node;
-      Some node.value
-    | None ->
-      t.n_misses <- t.n_misses + 1;
-      Mm_obs.Metrics.incr m_misses;
-      probe t;
-      None
 
 (* Evict the least-recently-used unpinned entry, scanning from the tail:
    a pinned entry is in active use by the current batch, and evicting it
@@ -144,22 +111,20 @@ let trim t =
   done
 
 let add ?(pin = false) t key value =
-  if not t.bypassed then begin
-    (match H.find_opt t.table key with
-    | Some node ->
-      node.value <- value;
-      unlink t node;
-      push_front t node;
-      if pin then pin_node t node
-    | None ->
-      let node =
-        { key = Array.copy key; value; pinned = false; prev = None; next = None }
-      in
-      H.replace t.table node.key node;
-      push_front t node;
-      if pin then pin_node t node);
-    if H.length t.table > t.cap then trim t
-  end
+  (match H.find_opt t.table key with
+  | Some node ->
+    node.value <- value;
+    unlink t node;
+    push_front t node;
+    if pin then pin_node t node
+  | None ->
+    let node =
+      { key = Array.copy key; value; pinned = false; prev = None; next = None }
+    in
+    H.replace t.table node.key node;
+    push_front t node;
+    if pin then pin_node t node);
+  if H.length t.table > t.cap then trim t
 
 let unpin_all t =
   List.iter (fun node -> node.pinned <- false) t.pins;
@@ -187,8 +152,6 @@ let capacity t = t.cap
 let hits t = t.n_hits
 let misses t = t.n_misses
 let evictions t = t.n_evictions
-let bypassed t = t.bypassed
-let bypassed_lookups t = t.n_bypassed
 
 let hit_rate t =
   let total = t.n_hits + t.n_misses in

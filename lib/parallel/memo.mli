@@ -1,43 +1,25 @@
-(** An LRU-bounded memoization cache keyed on integer-string genomes.
+(** An LRU-bounded memoization cache keyed on integer arrays.
 
-    The mapping GA re-evaluates identical genomes constantly — elites
-    survive unchanged every generation, converged populations are full
-    of clones, and the anchor genomes are re-injected on every restart.
-    Fitness evaluation is a pure function of the genome, so those
-    repeats can be answered from a cache instead of re-running the
-    decode → schedule → DVS → power pipeline.
+    The compiled evaluation context ([Mm_cosynth.Spec.compiled]) keeps
+    two of these per domain: mode-mobility tables keyed on a mode's
+    mapping, and per-mode (schedule, scaling, power) results keyed on
+    the genes a mode reads.  Successive GA candidates share most of
+    their per-mode mappings, so those repeats are answered from the
+    cache instead of re-running the scheduler and the DVS pass.
 
-    Keys are hashed over the {e whole} gene array (FNV-1a), not with
-    [Hashtbl.hash]'s truncated traversal, so long smart-phone genomes
-    that differ only in their tail do not collide systematically.  Keys
-    are copied on insertion; the cache never aliases caller arrays.
+    Keys are hashed over the {e whole} array (FNV-1a), not with
+    [Hashtbl.hash]'s truncated traversal, so long keys that differ only
+    in their tail do not collide systematically.  Keys are copied on
+    insertion; the cache never aliases caller arrays.
 
-    The cache is not thread-safe: in the parallel evaluation pipeline
-    all lookups and insertions happen on the coordinating domain, only
-    the misses fan out to workers. *)
+    The cache is not thread-safe: each domain owns its own caches. *)
 
 type 'v t
 
-val create :
-  ?probe_window:int -> ?min_hit_rate:float -> capacity:int -> unit -> 'v t
+val create : capacity:int -> unit -> 'v t
 (** [create ~capacity ()] makes an empty cache holding at most
     [capacity] entries; beyond that the least-recently-used entry is
-    evicted.  Raises [Invalid_argument] if [capacity < 1].
-
-    [probe_window] (default 0 = never) enables the {e adaptive bypass}:
-    after that many lookups, if the hit rate is below [min_hit_rate]
-    (default 0.1), the cache self-disables for the rest of its life —
-    every later {!find} returns [None] without hashing (counted in
-    {!bypassed_lookups} and the [memo/bypassed] metric) and every later
-    {!add} is a no-op.  A bypassed lookup is indistinguishable from a
-    miss, so on a workload whose values are pure functions of the key
-    the bypass can never change results, only remove cache overhead
-    from low-hit workloads.  The decision is taken once; {!reset_stats}
-    does not re-arm it. *)
-
-val adaptive : capacity:int -> 'v t
-(** {!create} with the recommended bypass tuning for GA evaluation
-    caches: a 1024-lookup probe window and a 10 % minimum hit rate. *)
+    evicted.  Raises [Invalid_argument] if [capacity < 1]. *)
 
 val find : ?pin:bool -> 'v t -> int array -> 'v option
 (** Lookup; counts a hit or a miss and refreshes the entry's recency.
@@ -76,10 +58,7 @@ val clear : 'v t -> unit
 (** Drop all entries.  Counters are kept. *)
 
 val reset_stats : 'v t -> unit
-(** Zero the hit/miss/eviction counters while keeping the entries: when
-    one cache is shared across several experiment runs (to reuse learned
-    evaluations), resetting between runs keeps each run's hit-rate
-    figures unpolluted by its predecessors. *)
+(** Zero the hit/miss/eviction counters while keeping the entries. *)
 
 val length : 'v t -> int
 
@@ -93,14 +72,6 @@ val misses : 'v t -> int
 
 val evictions : 'v t -> int
 (** Number of entries dropped by the LRU bound. *)
-
-val bypassed : 'v t -> bool
-(** Whether the adaptive bypass has triggered (see {!create}). *)
-
-val bypassed_lookups : 'v t -> int
-(** Lookups short-circuited after the bypass triggered; these are not
-    counted as hits or misses, so {!hit_rate} freezes at its
-    probe-window value. *)
 
 val hit_rate : 'v t -> float
 (** [hits / (hits + misses)]; 0 when no lookup happened yet. *)

@@ -5,16 +5,7 @@
    other rather than owning fixed slices.
 
    Fault tolerance: a raising job is retried with capped exponential
-   backoff ([config.max_retries]); a batch whose workers do not report
-   in within [config.timeout] seconds of the owner finishing its own
-   share is {e abandoned} — OCaml domains cannot be killed, so the era
-   counter below invalidates the stragglers' bookkeeping, replacements
-   are spawned, and the owner finishes the batch's unprocessed slots
-   serially.  Workers that keep having to be replaced eventually trip
-   [config.max_respawns] and the pool degrades to serial maps for the
-   rest of its life.  Abandoned workers are joined at [shutdown] only if
-   they provably exited (their [exited] flag); a worker hung forever in
-   a user job is leaked rather than blocking shutdown. *)
+   backoff, up to [max_retries] times. *)
 
 module Clock = Mm_obs.Clock
 module Control = Mm_obs.Control
@@ -24,8 +15,9 @@ module Fault = Mm_fault.Fault
 (* Chaos sites (no-ops unless a plan is armed): a worker that raises on
    its first attempt at an item — only ever injected when the pool is
    configured to retry, so the injected failure is always recovered and
-   the map's results are unchanged — and a worker that stalls, which
-   exercises the timeout/abandon machinery without losing work. *)
+   the map's results are unchanged — and a worker that stalls before
+   its first attempt, which delays the batch without changing its
+   results. *)
 let site_worker_raise = Fault.site "pool.worker_raise"
 let site_worker_stall = Fault.site "pool.worker_stall"
 
@@ -34,7 +26,7 @@ let site_worker_stall = Fault.site "pool.worker_stall"
    closures, and the two idle components — queue wait (workers parked
    between batches, i.e. dispatch cost) and barrier wait (the owner
    blocked on stragglers at the end of a batch, i.e. imbalance).  The
-   fault counters mirror the per-pool [stats] so a whole process's pool
+   retry counter mirrors the per-pool [stats] so a whole process's pool
    trouble is visible in metrics.json. *)
 let m_batches = Metrics.counter "pool/batches"
 let m_items = Metrics.counter "pool/items"
@@ -42,47 +34,24 @@ let m_busy_us = Metrics.counter "pool/busy_us"
 let m_queue_wait_us = Metrics.counter "pool/queue_wait_us"
 let m_barrier_wait_us = Metrics.counter "pool/barrier_wait_us"
 let m_retries = Metrics.counter "pool/retries"
-let m_timeouts = Metrics.counter "pool/timeouts"
-let m_respawns = Metrics.counter "pool/respawns"
 let p_batch = Mm_obs.Probe.create "pool/batch"
 
-type config = {
-  max_retries : int;
-  backoff : float;
-  backoff_max : float;
-  timeout : float;
-  max_respawns : int;
-}
-
-let default_config =
-  {
-    max_retries = 0;
-    backoff = 1e-3;
-    backoff_max = 0.1;
-    timeout = 0.0;
-    max_respawns = 8;
-  }
-
-type worker = { domain : unit Domain.t; exited : bool Atomic.t }
+(* Sleep before retry [k] is [backoff * 2^k] seconds, capped at
+   [backoff_max]. *)
+let backoff = 1e-4
+let backoff_max = 0.1
 
 type t = {
   mutex : Mutex.t;
   work_ready : Condition.t;
   work_done : Condition.t;
-  cfg : config;
+  max_retries : int;
   mutable job : (unit -> unit) option;
   mutable epoch : int;
-  mutable era : int;  (* bumped to invalidate all live workers at once *)
-  mutable live_epoch : int;  (* epoch whose [pending] count is trusted *)
   mutable pending : int;  (* workers still inside the current epoch's job *)
   mutable closed : bool;
-  mutable workers : worker array;
-  mutable retired : worker list;  (* abandoned; joined at shutdown if exited *)
-  mutable degraded : bool;
-  target : int;  (* worker count to respawn after an abandon *)
+  mutable workers : unit Domain.t array;
   n_retries : int Atomic.t;  (* bumped from worker domains *)
-  mutable n_timeouts : int;
-  mutable n_respawns : int;
   queue_wait_us : int Atomic.t;  (* worker park time, bumped from workers *)
   mutable barrier_wait_us : int;  (* owner time blocked on stragglers *)
   mutable est_item_us : float;  (* EWMA per-item cost; 0.0 = no batch seen *)
@@ -90,9 +59,6 @@ type t = {
 
 type stats = {
   retries : int;
-  timeouts : int;
-  respawns : int;
-  degraded : bool;
   queue_wait_seconds : float;
   barrier_wait_seconds : float;
 }
@@ -104,12 +70,11 @@ let chunk_target_us = 200.0
 
 let max_domains = 64
 
-let worker pool ~era ~epoch0 ~exited () =
-  (* [epoch0] was captured on the spawning thread: a worker spawned by
-     an abandon must not pick up the batch being abandoned, so it waits
-     for the next bump; reading [pool.epoch] from here instead would
-     race with the owner publishing a first batch. *)
-  let seen = ref epoch0 in
+let worker pool () =
+  (* Workers are spawned before any batch exists, so epoch 0 is the one
+     they have seen; reading [pool.epoch] here instead would race with
+     the owner publishing a first batch. *)
+  let seen = ref 0 in
   let running = ref true in
   while !running do
     (* Queue wait is measured unconditionally (two clock reads per
@@ -117,13 +82,13 @@ let worker pool ~era ~epoch0 ~exited () =
        stays gated as before. *)
     let wait_t0 = Clock.now_us () in
     Mutex.lock pool.mutex;
-    while (not pool.closed) && pool.era = era && pool.epoch = !seen do
+    while (not pool.closed) && pool.epoch = !seen do
       Condition.wait pool.work_ready pool.mutex
     done;
     let waited = int_of_float (Clock.now_us () -. wait_t0) in
     ignore (Atomic.fetch_and_add pool.queue_wait_us waited);
     if Control.metrics_on () then Metrics.incr ~by:waited m_queue_wait_us;
-    if pool.closed || pool.era <> era then begin
+    if pool.closed then begin
       Mutex.unlock pool.mutex;
       running := false
     end
@@ -139,21 +104,11 @@ let worker pool ~era ~epoch0 ~exited () =
       | Some run -> ( try run () with _ -> ())
       | None -> ());
       Mutex.lock pool.mutex;
-      (* A straggler from an abandoned era (or epoch) must not touch the
-         pending count of whatever batch is live now. *)
-      if pool.era = era && pool.live_epoch = !seen then begin
-        pool.pending <- pool.pending - 1;
-        if pool.pending = 0 then Condition.broadcast pool.work_done
-      end;
+      pool.pending <- pool.pending - 1;
+      if pool.pending = 0 then Condition.broadcast pool.work_done;
       Mutex.unlock pool.mutex
     end
-  done;
-  Atomic.set exited true
-
-let spawn_worker pool =
-  let exited = Atomic.make false in
-  let d = Domain.spawn (worker pool ~era:pool.era ~epoch0:pool.epoch ~exited) in
-  { domain = d; exited }
+  done
 
 let clamp_jobs ?(allow_oversubscribe = false) requested =
   let ceiling =
@@ -162,7 +117,7 @@ let clamp_jobs ?(allow_oversubscribe = false) requested =
   in
   max 1 (min requested ceiling)
 
-let create ?domains ?(config = default_config) () =
+let create ?domains ?(max_retries = 0) () =
   let requested =
     match domains with Some d -> d | None -> Domain.recommended_domain_count ()
   in
@@ -172,26 +127,19 @@ let create ?domains ?(config = default_config) () =
       mutex = Mutex.create ();
       work_ready = Condition.create ();
       work_done = Condition.create ();
-      cfg = config;
+      max_retries;
       job = None;
       epoch = 0;
-      era = 0;
-      live_epoch = -1;
       pending = 0;
       closed = false;
       workers = [||];
-      retired = [];
-      degraded = false;
-      target = size - 1;
       n_retries = Atomic.make 0;
-      n_timeouts = 0;
-      n_respawns = 0;
       queue_wait_us = Atomic.make 0;
       barrier_wait_us = 0;
       est_item_us = 0.0;
     }
   in
-  pool.workers <- Array.init (size - 1) (fun _ -> spawn_worker pool);
+  pool.workers <- Array.init (size - 1) (fun _ -> Domain.spawn (worker pool));
   pool
 
 let size pool = Array.length pool.workers + 1
@@ -201,9 +149,6 @@ let stats pool =
   let s =
     {
       retries = Atomic.get pool.n_retries;
-      timeouts = pool.n_timeouts;
-      respawns = pool.n_respawns;
-      degraded = pool.degraded;
       queue_wait_seconds = float_of_int (Atomic.get pool.queue_wait_us) *. 1e-6;
       barrier_wait_seconds = float_of_int pool.barrier_wait_us *. 1e-6;
     }
@@ -215,7 +160,6 @@ let stats pool =
    capped exponential backoff.  The final failure re-raises with its
    original backtrace. *)
 let apply pool f x =
-  let cfg = pool.cfg in
   let rec attempt k =
     try
       if k = 0 then begin
@@ -224,44 +168,16 @@ let apply pool f x =
         (* Raise only on the first attempt and only when the retry
            budget can absorb it: every injected failure is recovered,
            so a chaos run's map results are bit-identical. *)
-        if cfg.max_retries > 0 then Fault.raise_if site_worker_raise
+        if pool.max_retries > 0 then Fault.raise_if site_worker_raise
       end;
       f x
-    with _ when k < cfg.max_retries ->
+    with _ when k < pool.max_retries ->
       Atomic.incr pool.n_retries;
       Metrics.incr m_retries;
-      let delay =
-        Float.min cfg.backoff_max (cfg.backoff *. (2.0 ** float_of_int k))
-      in
-      if delay > 0.0 then Unix.sleepf delay;
+      Unix.sleepf (Float.min backoff_max (backoff *. (2.0 ** float_of_int k)));
       attempt (k + 1)
   in
   attempt 0
-
-(* Abandon the current batch's workers: the era bump makes every live
-   worker exit (or, if hung, renders it a harmless zombie whose
-   bookkeeping is ignored), replacements are spawned unless that would
-   exceed the respawn budget, in which case the pool degrades to serial.
-   Called with [pool.mutex] held. *)
-let abandon pool =
-  pool.n_timeouts <- pool.n_timeouts + 1;
-  Metrics.incr m_timeouts;
-  let lost = Array.length pool.workers in
-  pool.era <- pool.era + 1;
-  pool.live_epoch <- -1;
-  pool.pending <- 0;
-  pool.retired <- Array.to_list pool.workers @ pool.retired;
-  if pool.n_respawns + lost > pool.cfg.max_respawns then begin
-    pool.workers <- [||];
-    pool.degraded <- true
-  end
-  else begin
-    pool.n_respawns <- pool.n_respawns + lost;
-    Metrics.incr ~by:lost m_respawns;
-    pool.workers <- Array.init pool.target (fun _ -> spawn_worker pool)
-  end;
-  (* Wake exited-era workers parked on [work_ready] so they can leave. *)
-  Condition.broadcast pool.work_ready
 
 let map pool f input =
   if pool.closed then invalid_arg "Pool.map: pool is shut down";
@@ -333,7 +249,6 @@ let map pool f input =
         Mutex.lock pool.mutex;
         pool.job <- Some run;
         pool.epoch <- pool.epoch + 1;
-        pool.live_epoch <- pool.epoch;
         pool.pending <- n_workers;
         Condition.broadcast pool.work_ready;
         Mutex.unlock pool.mutex;
@@ -344,25 +259,9 @@ let map pool f input =
            between batches (dispatch cost). *)
         let barrier_t0 = Clock.now_us () in
         Mutex.lock pool.mutex;
-        if pool.cfg.timeout <= 0.0 then
-          while pool.pending > 0 do
-            Condition.wait pool.work_done pool.mutex
-          done
-        else begin
-          (* [Condition] has no timed wait, so poll.  The deadline runs
-             from the moment the owner finished its own share: the
-             stragglers get [timeout] seconds of grace, independent of
-             how long the batch as a whole takes. *)
-          let deadline = Clock.now_us () +. (pool.cfg.timeout *. 1e6) in
-          while pool.pending > 0 do
-            if Clock.now_us () > deadline then abandon pool
-            else begin
-              Mutex.unlock pool.mutex;
-              Unix.sleepf 0.0005;
-              Mutex.lock pool.mutex
-            end
-          done
-        end;
+        while pool.pending > 0 do
+          Condition.wait pool.work_done pool.mutex
+        done;
         pool.job <- None;
         let barrier_us = int_of_float (Clock.now_us () -. barrier_t0) in
         pool.barrier_wait_us <- pool.barrier_wait_us + barrier_us;
@@ -376,14 +275,7 @@ let map pool f input =
             (if pool.est_item_us > 0.0 then (pool.est_item_us +. per_item) /. 2.0
              else per_item)
         end;
-        Mutex.unlock pool.mutex;
-        (* After an abandon the hung workers' chunks are unfinished (and
-           a zombie may still be filling slots behind us, which is
-           harmless for the pure [f] the pool requires: both writes carry
-           the same value).  Finish them on the calling domain. *)
-        for i = 0 to n - 1 do
-          if results.(i) = None then element i
-        done);
+        Mutex.unlock pool.mutex);
     match Atomic.get failure with
     | Some (e, bt) -> Printexc.raise_with_backtrace e bt
     | None -> Array.map (function Some v -> v | None -> assert false) results
@@ -392,16 +284,10 @@ let map pool f input =
 let shutdown pool =
   Mutex.lock pool.mutex;
   let workers = pool.workers in
-  let retired = pool.retired in
   pool.workers <- [||];
-  pool.retired <- [];
   if not pool.closed then begin
     pool.closed <- true;
     Condition.broadcast pool.work_ready
   end;
   Mutex.unlock pool.mutex;
-  Array.iter (fun w -> Domain.join w.domain) workers;
-  (* Retired workers are joined only when they provably left their loop;
-     one hung forever in a user job is leaked rather than deadlocking
-     shutdown. *)
-  List.iter (fun w -> if Atomic.get w.exited then Domain.join w.domain) retired
+  Array.iter Domain.join workers

@@ -24,61 +24,19 @@
 
     {2 Fault tolerance}
 
-    Long synthesis runs must survive misbehaving jobs.  Three defences,
-    all configured through {!config} and off by default:
-
-    - {e Retry}: a raising job is re-run up to [max_retries] times with
-      capped exponential backoff before its exception is allowed to
-      propagate.
-    - {e Timeout}: when the workers of a batch have not reported in
-      [timeout] seconds after the owner finished its own share, the
-      batch is {e abandoned}.  OCaml domains cannot be killed, so the
-      stragglers are invalidated (their later bookkeeping is ignored;
-      if truly hung they are leaked at {!shutdown}), replacement
-      workers are spawned, and the owner completes the batch's
-      unfinished elements serially — {!map} still returns the full,
-      correct result.
-    - {e Degradation}: once more than [max_respawns] workers have had
-      to be replaced over the pool's life, the pool stops spawning and
-      every later {!map} runs serially on the caller.
-
-    Each event increments the [pool/retries] / [pool/timeouts] /
-    [pool/respawns] metrics and the per-pool {!stats}. *)
+    A raising job is re-run up to [max_retries] times (see {!create})
+    with capped exponential backoff — 0.1 ms doubling per attempt, at
+    most 0.1 s — before its exception is allowed to propagate.  Each
+    retry increments the [pool/retries] metric and the per-pool
+    {!stats}. *)
 
 type t
 (** A pool handle.  The creating domain participates in every {!map},
     so a pool of size [n] runs work on [n] domains total ([n - 1]
     spawned workers plus the caller). *)
 
-type config = {
-  max_retries : int;
-      (** Times a raising job is retried before the exception
-          propagates (default 0: first failure raises, as a plain
-          [Array.map] would). *)
-  backoff : float;
-      (** Sleep before retry [k] is [backoff * 2{^ k}] seconds
-          (default 1 ms). *)
-  backoff_max : float;  (** Cap on the backoff sleep (default 0.1 s). *)
-  timeout : float;
-      (** Grace period in seconds for worker stragglers after the owner
-          finishes its share of a batch; [<= 0] (the default) waits
-          forever.  Only meaningful for a pure [f]: after an abandon the
-          owner re-runs unfinished elements, and a zombie worker may
-          still complete its copy concurrently. *)
-  max_respawns : int;
-      (** Lifetime budget of worker replacements before the pool
-          degrades to serial evaluation (default 8). *)
-}
-
-val default_config : config
-(** No retries, no timeout, respawn budget 8 — bit-compatible with a
-    pool that has no fault tolerance at all. *)
-
 type stats = {
   retries : int;  (** Jobs re-run after raising. *)
-  timeouts : int;  (** Batches abandoned on the wall-clock timeout. *)
-  respawns : int;  (** Workers replaced after abandons. *)
-  degraded : bool;  (** Whether the pool has fallen back to serial. *)
   queue_wait_seconds : float;
       (** Summed time workers spent parked between batches — the
           dispatch (fan-out/fan-in) cost of driving the pool. *)
@@ -93,22 +51,24 @@ val clamp_jobs : ?allow_oversubscribe:bool -> int -> int
 (** The effective domain count for a requested [--jobs]: clamped to
     [\[1, 64\]] and — unless [allow_oversubscribe] — to
     [Domain.recommended_domain_count ()].  Oversubscribing cores never
-    helps this workload (the parallel bench records speedups below 1 and
-    degraded pools whenever jobs exceed cores), so callers opt into it
+    helps this workload (the parallel bench records speedups below 1
+    whenever jobs exceed cores), so callers opt into it
     explicitly or not at all. *)
 
-val create : ?domains:int -> ?config:config -> unit -> t
+val create : ?domains:int -> ?max_retries:int -> unit -> t
 (** [create ~domains ()] spawns [domains - 1] worker domains.  [domains]
     defaults to {!Domain.recommended_domain_count}; it is clamped to
     [\[1, 64\]].  A pool of 1 spawns nothing and {!map} degrades to
-    [Array.map].  [config] defaults to {!default_config}. *)
+    [Array.map].  [max_retries] (default 0: the first failure raises,
+    as a plain [Array.map] would) is how often a raising job is re-run
+    before its exception propagates; only pure jobs may be retried. *)
 
 val size : t -> int
 (** Number of domains that execute work during a {!map}, including the
-    caller.  [size t >= 1]; a {e degraded} pool reports 1. *)
+    caller.  [size t >= 1]. *)
 
 val stats : t -> stats
-(** Fault-tolerance counters of this pool (the metrics counters
+(** Retry and wait counters of this pool (the metrics counters
     aggregate across pools and are gated on the global metrics switch;
     these are always live). *)
 
@@ -124,6 +84,4 @@ val map : t -> ('a -> 'b) -> 'a array -> 'b array
 
 val shutdown : t -> unit
 (** Terminate and join the worker domains.  Idempotent.  The pool cannot
-    be used afterwards.  Workers abandoned by a timeout are joined only
-    if they have provably exited; a worker still hung in a job is leaked
-    (the domain stays alive until the process exits). *)
+    be used afterwards. *)

@@ -262,8 +262,6 @@ let record_progress t entry (p : Synthesis.progress) ~now =
   Json.number buf p.Synthesis.p_best_fitness;
   Buffer.add_string buf ",\"evaluations\":";
   Json.int buf p.Synthesis.p_evaluations;
-  Buffer.add_string buf ",\"cache_hits\":";
-  Json.int buf p.Synthesis.p_cache_hits;
   Buffer.add_string buf ",\"ts\":";
   Json.number buf now;
   Buffer.add_char buf '}';

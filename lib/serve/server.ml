@@ -447,14 +447,9 @@ let create config =
     if config.pool_jobs > 1 then
       (* Under an armed chaos plan the pool must retry, so every
          injected worker raise is absorbed (the injection site only
-         fires when max_retries > 0); the near-zero backoff keeps the
-         chaos smoke fast. *)
-      let pool_config =
-        if Fault.armed () then
-          { Pool.default_config with max_retries = 3; backoff = 1e-4 }
-        else Pool.default_config
-      in
-      Some (Pool.create ~domains:config.pool_jobs ~config:pool_config ())
+         fires when max_retries > 0). *)
+      let max_retries = if Fault.armed () then 3 else 0 in
+      Some (Pool.create ~domains:config.pool_jobs ~max_retries ())
     else None
   in
   let t =

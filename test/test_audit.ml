@@ -68,7 +68,7 @@ let test_synthesis_audited () =
   List.iter
     (fun (bench, spec) ->
       List.iter
-        (fun (strategy, jobs, eval_cache) ->
+        (fun (strategy, jobs) ->
           List.iter
             (fun (cname, fitness) ->
               let config =
@@ -77,7 +77,6 @@ let test_synthesis_audited () =
                   Synthesis.fitness;
                   ga;
                   jobs;
-                  eval_cache;
                   audit = true;
                 }
               in
@@ -88,7 +87,7 @@ let test_synthesis_audited () =
                 Alcotest.failf "%s %s %s:@.%s" bench strategy cname (pp_report report)
               | None -> Alcotest.fail "audit requested but report absent")
             [ ("no-DVS", no_dvs); ("DVS", with_dvs) ])
-        [ ("serial", 1, 0); ("pooled", 2, 0); ("cached", 1, 4096) ])
+        [ ("serial", 1); ("pooled", 2) ])
     [
       ("motivational", Mm_benchgen.Motivational.spec ());
       ("smartphone", Mm_benchgen.Smartphone.spec ());

@@ -1,8 +1,8 @@
 (* Resume equivalence: a run interrupted at ANY generation boundary and
    resumed from its checkpoint must reproduce the uninterrupted run's
    result bit-for-bit (fitness compared by Int64.bits_of_float), at the
-   Engine, Synthesis and Experiment levels, across evaluation strategies
-   (serial / pooled / cached) and with DVS on or off.  Evaluation counts
+   Engine, Synthesis and Experiment levels, serial and pooled, and with
+   DVS on or off.  Evaluation counts
    are exempt — a resume re-evaluates the restored population once. *)
 
 module Engine = Mm_ga.Engine
@@ -35,7 +35,6 @@ let synthetic_problem =
               +. (0.125 *. sin (float_of_int (g + i))))
           genome;
         (!acc, ()));
-    pure = true;
     improvements = [];
     initial = [];
   }
@@ -178,24 +177,19 @@ let test_synthesis_resume_every_checkpoint ~dvs () =
       check_same_result (Printf.sprintf "state %d" i) straight resumed)
     states
 
-(* The evaluation strategy must not affect a resumed trajectory: resume
-   the same snapshot serial, pooled, cached, and pooled+cached. *)
+(* The domain count must not affect a resumed trajectory: resume the
+   same snapshot serial and pooled. *)
 let test_synthesis_resume_across_strategies () =
   let config = tiny_config ~dvs:false in
   let straight = Synthesis.run ~config ~spec ~seed:9 () in
   let _, states = run_capturing ~config ~seed:9 in
   let mid = List.nth states (List.length states / 2) in
   List.iter
-    (fun (name, jobs, eval_cache) ->
-      let config = { config with Synthesis.jobs; eval_cache } in
+    (fun (name, jobs) ->
+      let config = { config with Synthesis.jobs } in
       let resumed = Synthesis.run ~config ~resume:mid ~spec ~seed:9 () in
       check_same_result name straight resumed)
-    [
-      ("serial uncached", 1, 0);
-      ("serial cached", 1, 256);
-      ("pooled", 2, 0);
-      ("pooled cached", 2, 256);
-    ]
+    [ ("serial", 1); ("pooled", 2) ]
 
 let test_synthesis_rejects_mismatched_state () =
   let config = tiny_config ~dvs:false in
@@ -208,8 +202,8 @@ let test_synthesis_rejects_mismatched_state () =
   (match Synthesis.run ~config:other ~resume:st ~spec ~seed:5 () with
   | _ -> Alcotest.fail "wrong configuration accepted"
   | exception Invalid_argument _ -> ());
-  (* jobs/eval_cache are excluded from the fingerprint on purpose. *)
-  let faster = { config with Synthesis.jobs = 2; eval_cache = 128 } in
+  (* jobs is excluded from the fingerprint on purpose. *)
+  let faster = { config with Synthesis.jobs = 2 } in
   ignore (Synthesis.run ~config:faster ~resume:st ~spec ~seed:5 ())
 
 (* Property: resume from a random checkpoint of a random seed. *)

@@ -70,7 +70,6 @@ let sum_problem n alphabet =
   {
     Engine.gene_counts = Array.make n alphabet;
     evaluate = (fun g -> (float_of_int (Array.fold_left ( + ) 0 g), ()));
-    pure = true;
     improvements = [];
     initial = [];
   }
@@ -104,7 +103,6 @@ let test_engine_stagnation_stops () =
     {
       Engine.gene_counts = [| 2; 2 |];
       evaluate = (fun _ -> (1.0, ()));
-      pure = true;
       improvements = [];
       initial = [];
     }
@@ -159,7 +157,6 @@ let test_engine_info_passed () =
     {
       Engine.gene_counts = [| 2 |];
       evaluate = (fun g -> (float_of_int g.(0), "tag"));
-      pure = true;
       improvements = [ improvement ];
       initial = [];
     }
@@ -207,7 +204,6 @@ let test_engine_diversity_convergence () =
     {
       Engine.gene_counts = Array.make 6 4;
       evaluate = (fun g -> (float_of_int (Array.fold_left ( + ) 0 g), ()));
-      pure = true;
       improvements = [];
       initial = [];
     }
@@ -231,7 +227,6 @@ let test_engine_validation () =
 (* --- Evaluation strategies ---------------------------------------------------- *)
 
 module Pool = Mm_parallel.Pool
-module Memo = Mm_parallel.Memo
 
 (* A problem whose optimum the GA has to work for: weighted genes with a
    coupling term, so random problems differ by seed. *)
@@ -249,7 +244,6 @@ let strategy_problem ~n ~alphabet =
               +. (if i > 0 && g.(i - 1) = x then 0.5 else 0.0))
           g;
         (!acc, ()));
-    pure = true;
     improvements = [];
     initial = [];
   }
@@ -261,11 +255,8 @@ let with_pool ~domains f =
 let strategies_equal_check pool ~seed ~n ~alphabet =
   let problem = strategy_problem ~n ~alphabet in
   let config = { Engine.default_config with max_generations = 40 } in
-  let run strategy = Engine.run ~config ~strategy ~rng:(Prng.create ~seed) problem in
-  let serial = run Engine.Serial in
-  let pooled = run (Engine.Pooled pool) in
-  let cached = run (Engine.Cached (Memo.create ~capacity:256 ())) in
-  let both = run (Engine.Cached_pooled (pool, Memo.create ~capacity:256 ())) in
+  let serial = Engine.run ~config ~rng:(Prng.create ~seed) problem in
+  let pooled = Engine.run ~config ~pool ~rng:(Prng.create ~seed) problem in
   let same label (other : unit Engine.result) =
     Alcotest.(check (array int))
       (label ^ " genome") serial.Engine.best_genome other.Engine.best_genome;
@@ -277,22 +268,23 @@ let strategies_equal_check pool ~seed ~n ~alphabet =
       (label ^ " history") serial.Engine.history other.Engine.history
   in
   same "pooled" pooled;
-  same "cached" cached;
-  same "cached+pooled" both;
   Alcotest.(check int) "pooled evaluates as often as serial" serial.Engine.evaluations
     pooled.Engine.evaluations;
-  Alcotest.(check int) "serial has no cache hits" 0 serial.Engine.cache_hits;
-  Alcotest.(check int) "cache accounts every evaluation" serial.Engine.evaluations
-    (cached.Engine.evaluations + cached.Engine.cache_hits)
+  (* Every genome the engine builds is evaluated: the initial population
+     once, then every non-elite offspring of every generation. *)
+  Alcotest.(check int) "every genome evaluated"
+    (config.population_size
+    + (serial.Engine.generations * (config.population_size - config.elite_count)))
+    serial.Engine.evaluations
 
 let test_strategies_equal () =
   with_pool ~domains:4 (fun pool ->
       strategies_equal_check pool ~seed:17 ~n:24 ~alphabet:5;
       strategies_equal_check pool ~seed:99 ~n:7 ~alphabet:3)
 
-(* Property (the determinism argument of DESIGN.md): serial, pooled,
-   cached and cached+pooled evaluation produce bit-identical GA
-   trajectories for random problems and seeds. *)
+(* Property (the determinism argument of DESIGN.md): serial and pooled
+   evaluation produce bit-identical GA trajectories for random problems
+   and seeds. *)
 let prop_strategies_agree =
   QCheck.Test.make ~name:"eval strategies agree with serial" ~count:12
     QCheck.(triple small_int (int_range 2 20) (int_range 2 6))
@@ -300,66 +292,11 @@ let prop_strategies_agree =
       with_pool ~domains:3 (fun pool ->
           let problem = strategy_problem ~n ~alphabet in
           let config = { Engine.default_config with max_generations = 25 } in
-          let run strategy =
-            Engine.run ~config ~strategy ~rng:(Prng.create ~seed) problem
-          in
-          let serial = run Engine.Serial in
-          let agree (other : unit Engine.result) =
-            serial.Engine.best_genome = other.Engine.best_genome
-            && serial.Engine.best_fitness = other.Engine.best_fitness
-            && serial.Engine.history = other.Engine.history
-          in
-          agree (run (Engine.Pooled pool))
-          && agree (run (Engine.Cached (Memo.create ~capacity:128 ())))
-          && agree (run (Engine.Cached_pooled (pool, Memo.create ~capacity:128 ())))))
-
-let test_cached_counts_elite_hits () =
-  (* Elites are re-submitted every generation; with a cache they must be
-     answered without re-evaluation, so hits + evaluations covers every
-     submitted genome. *)
-  let problem = strategy_problem ~n:10 ~alphabet:4 in
-  let config = { Engine.default_config with max_generations = 20 } in
-  let cache = Memo.create ~capacity:1024 () in
-  let result =
-    Engine.run ~config ~strategy:(Engine.Cached cache) ~rng:(Prng.create ~seed:21)
-      problem
-  in
-  let serial = Engine.run ~config ~rng:(Prng.create ~seed:21) problem in
-  Alcotest.(check bool) "cache hits occurred" true (result.Engine.cache_hits > 0);
-  Alcotest.(check int) "hits + misses = serial evaluations"
-    serial.Engine.evaluations
-    (result.Engine.evaluations + result.Engine.cache_hits);
-  (* Every submitted genome was looked up exactly once: the memo's own
-     counters must cover the same population the engine reports. *)
-  Alcotest.(check int) "memo lookups cover every submission"
-    (result.Engine.evaluations + result.Engine.cache_hits)
-    (Memo.hits cache + Memo.misses cache)
-
-let test_impure_problem_degrades_to_serial () =
-  (* An impure evaluator must not be cached: the engine should call it
-     exactly as often as the serial engine would. *)
-  let calls = ref 0 in
-  let problem =
-    {
-      Engine.gene_counts = Array.make 8 3;
-      evaluate =
-        (fun g ->
-          incr calls;
-          (float_of_int (Array.fold_left ( + ) 0 g), ()));
-      pure = false;
-      improvements = [];
-      initial = [];
-    }
-  in
-  let config = { Engine.default_config with max_generations = 15 } in
-  let cache = Memo.create ~capacity:1024 () in
-  let result =
-    Engine.run ~config ~strategy:(Engine.Cached cache) ~rng:(Prng.create ~seed:3)
-      problem
-  in
-  Alcotest.(check int) "every evaluation really ran" result.Engine.evaluations !calls;
-  Alcotest.(check int) "no cache hits" 0 result.Engine.cache_hits;
-  Alcotest.(check int) "cache untouched" 0 (Memo.length cache)
+          let serial = Engine.run ~config ~rng:(Prng.create ~seed) problem in
+          let pooled = Engine.run ~config ~pool ~rng:(Prng.create ~seed) problem in
+          serial.Engine.best_genome = pooled.Engine.best_genome
+          && serial.Engine.best_fitness = pooled.Engine.best_fitness
+          && serial.Engine.history = pooled.Engine.history))
 
 (* Property: the engine never returns an invalid genome and never a
    fitness better than the true optimum. *)
@@ -372,7 +309,6 @@ let prop_engine_result_valid =
         {
           Engine.gene_counts = counts;
           evaluate = (fun g -> (float_of_int (Array.fold_left ( + ) 0 g), ()));
-          pure = true;
           improvements = [];
           initial = [];
         }
@@ -596,7 +532,7 @@ let test_delta_promotes_mode_whose_read_set_grew () =
     [ false; true ]
 
 (* Engine-level: supplying a contract-satisfying delta changes neither
-   the trajectory nor the evaluation counts, under either strategy. *)
+   the trajectory nor the evaluation counts, serial or pooled. *)
 let test_engine_delta_identical_trajectory () =
   let evaluate g =
     let s = Array.fold_left ( + ) 0 g in
@@ -606,7 +542,6 @@ let test_engine_delta_identical_trajectory () =
     {
       Engine.gene_counts = Array.make 14 5;
       evaluate;
-      pure = true;
       improvements = [];
       initial = [];
     }
@@ -631,15 +566,14 @@ let test_engine_delta_identical_trajectory () =
     with_delta.Engine.evaluations;
   Alcotest.(check (list (float 0.0))) "history" plain.Engine.history
     with_delta.Engine.history;
-  let cached =
-    Engine.run ~config ~delta
-      ~strategy:(Engine.Cached (Memo.create ~capacity:512 ()))
-      ~rng:(Prng.create ~seed:31) problem
+  let pooled =
+    with_pool ~domains:2 (fun pool ->
+        Engine.run ~config ~pool ~delta ~rng:(Prng.create ~seed:31) problem)
   in
-  Alcotest.(check (array int)) "cached genome" plain.Engine.best_genome
-    cached.Engine.best_genome;
-  Alcotest.(check (list (float 0.0))) "cached history" plain.Engine.history
-    cached.Engine.history
+  Alcotest.(check (array int)) "pooled genome" plain.Engine.best_genome
+    pooled.Engine.best_genome;
+  Alcotest.(check (list (float 0.0))) "pooled history" plain.Engine.history
+    pooled.Engine.history
 
 (* --- Nsga2 -------------------------------------------------------------------- *)
 
@@ -789,19 +723,6 @@ let test_islands_jobs_invariant () =
         r pooled4.Islands.per_island.(i))
     serial.Islands.per_island
 
-let test_islands_private_caches_invariant () =
-  (* Private memo caches are a pure wall-clock optimisation. *)
-  let problem = strategy_problem ~n:14 ~alphabet:4 in
-  let config = { Engine.default_config with max_generations = 36 } in
-  let topology = { Islands.islands = 2; migration_interval = 5; migration_count = 1 } in
-  let run cache_capacity =
-    Islands.run ~config ~topology ~cache_capacity ~rng:(Prng.create ~seed:31) problem
-  in
-  let plain = run 0 and cached = run 256 in
-  islands_same "cached" plain.Islands.best cached.Islands.best;
-  Alcotest.(check int) "cache accounts every evaluation" plain.Islands.evaluations
-    (cached.Islands.evaluations + cached.Islands.cache_hits)
-
 (* --- Robust (usage-uncertainty) synthesis -------------------------------------- *)
 
 module Synthesis = Mm_cosynth.Synthesis
@@ -938,11 +859,7 @@ let () =
         ] );
       ( "eval strategies",
         [
-          Alcotest.test_case "serial/pooled/cached identical" `Quick
-            test_strategies_equal;
-          Alcotest.test_case "cache answers elites" `Quick test_cached_counts_elite_hits;
-          Alcotest.test_case "impure degrades to serial" `Quick
-            test_impure_problem_degrades_to_serial;
+          Alcotest.test_case "serial/pooled identical" `Quick test_strategies_equal;
           QCheck_alcotest.to_alcotest prop_strategies_agree;
         ] );
       ( "delta evaluation",
@@ -962,8 +879,6 @@ let () =
           Alcotest.test_case "one island is the engine" `Quick test_islands_one_is_engine;
           Alcotest.test_case "identical across pools and serial" `Quick
             test_islands_jobs_invariant;
-          Alcotest.test_case "private caches invariant" `Quick
-            test_islands_private_caches_invariant;
           QCheck_alcotest.to_alcotest prop_islands_seed_replay;
         ] );
       ( "robust synthesis",

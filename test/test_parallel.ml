@@ -106,8 +106,7 @@ let test_pool_retry_heals_flaky_jobs () =
     if Atomic.fetch_and_add attempts.(x) 1 < 2 then raise (Boom x);
     x * x
   in
-  let config = { Pool.default_config with max_retries = 3; backoff = 1e-5 } in
-  let pool = Pool.create ~domains:4 ~config () in
+  let pool = Pool.create ~domains:4 ~max_retries:3 () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   let input = Array.init n Fun.id in
   Alcotest.(check (array int))
@@ -119,8 +118,7 @@ let test_pool_retry_heals_flaky_jobs () =
 let test_pool_retry_budget_exhausted () =
   (* A persistently failing job must still propagate its exception after
      the retries run out, and the pool must survive. *)
-  let config = { Pool.default_config with max_retries = 2; backoff = 1e-5 } in
-  let pool = Pool.create ~domains:2 ~config () in
+  let pool = Pool.create ~domains:2 ~max_retries:2 () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   (match Pool.map pool (fun x -> raise (Boom x)) [| 1; 2; 3; 4 |] with
   | _ -> Alcotest.fail "exception swallowed"
@@ -140,8 +138,7 @@ let test_pool_absorbs_injected_faults () =
       ("pool.worker_stall", { Fault.probability = 0.1; limit = 4; delay = 0.001 });
     ];
   Fun.protect ~finally:Fault.disarm @@ fun () ->
-  let config = { Pool.default_config with max_retries = 3; backoff = 1e-5 } in
-  let pool = Pool.create ~domains:4 ~config () in
+  let pool = Pool.create ~domains:4 ~max_retries:3 () in
   Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
   let input = Array.init 200 Fun.id in
   Alcotest.(check (array int))
@@ -168,58 +165,6 @@ let test_pool_injection_respects_budget () =
   Alcotest.(check (array int))
     "no injection without a retry budget" [| 1; 4; 9 |]
     (Pool.map pool (fun x -> x * x) [| 1; 2; 3 |])
-
-(* A job that hangs on every domain but the owner: the owner finishes
-   its share, the timeout fires, the stragglers are abandoned and the
-   owner completes the batch serially.  The owner's copy is slowed just
-   enough that the workers reliably wake up and claim chunks before the
-   batch is drained. *)
-let test_pool_timeout_abandons_stragglers () =
-  let owner = Domain.self () in
-  let f x =
-    if Domain.self () <> owner then Unix.sleepf 0.3 else Unix.sleepf 0.002;
-    x + 1
-  in
-  let config =
-    { Pool.default_config with timeout = 0.05; max_respawns = 100 }
-  in
-  let pool = Pool.create ~domains:4 ~config () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  let input = Array.init 64 Fun.id in
-  Alcotest.(check (array int))
-    "abandoned batch still returns the serial oracle's result"
-    (Array.map succ input) (Pool.map pool f input);
-  let stats = Pool.stats pool in
-  Alcotest.(check bool) "timeout counted" true (stats.Pool.timeouts >= 1);
-  Alcotest.(check bool) "replacements spawned" true (stats.Pool.respawns >= 3);
-  Alcotest.(check bool) "not yet degraded" false stats.Pool.degraded;
-  (* The respawned workers must serve later batches normally. *)
-  Alcotest.(check (array int)) "usable after abandon" [| 1; 2; 3 |]
-    (Pool.map pool Fun.id [| 1; 2; 3 |])
-
-let test_pool_degrades_to_serial () =
-  (* Workers that die faster than the respawn budget allows: the pool
-     must fall back to serial evaluation instead of spawning forever —
-     and keep producing correct results. *)
-  let owner = Domain.self () in
-  let f x =
-    if Domain.self () <> owner then Unix.sleepf 0.3 else Unix.sleepf 0.002;
-    x * 2
-  in
-  let config = { Pool.default_config with timeout = 0.05; max_respawns = 2 } in
-  let pool = Pool.create ~domains:4 ~config () in
-  Fun.protect ~finally:(fun () -> Pool.shutdown pool) @@ fun () ->
-  let input = Array.init 32 Fun.id in
-  Alcotest.(check (array int))
-    "degrading batch result" (Array.map (fun x -> x * 2) input)
-    (Pool.map pool f input);
-  let stats = Pool.stats pool in
-  Alcotest.(check bool) "degraded" true stats.Pool.degraded;
-  Alcotest.(check int) "degraded pool reports size 1" 1 (Pool.size pool);
-  (* Serial from here on: even the would-hang jobs run on the owner. *)
-  Alcotest.(check (array int))
-    "serial fallback result" (Array.map (fun x -> x * 2) input)
-    (Pool.map pool f input)
 
 (* --- Memo -------------------------------------------------------------------- *)
 
@@ -358,41 +303,6 @@ let test_memo_pins_may_overflow_capacity () =
   Alcotest.(check int) "trimmed back to capacity" 2 (Memo.length cache);
   Alcotest.(check bool) "newest kept after trim" true (Memo.mem cache [| 3 |])
 
-let test_memo_bypass_on_poor_hit_rate () =
-  (* Probe window 4, min hit rate 50%: all-miss traffic must trip the
-     bypass exactly when hits + misses reach the window. *)
-  let cache = Memo.create ~probe_window:4 ~min_hit_rate:0.5 ~capacity:8 () in
-  for i = 1 to 3 do
-    ignore (Memo.find cache [| i |]);
-    Memo.add cache [| i |] i
-  done;
-  Alcotest.(check bool) "still probing" false (Memo.bypassed cache);
-  ignore (Memo.find cache [| 99 |]);
-  Alcotest.(check bool) "bypassed after the probe window" true (Memo.bypassed cache);
-  (* A bypassed cache answers nothing, stores nothing, and counts the
-     traffic it waved through. *)
-  Alcotest.(check (option int)) "hit suppressed" None (Memo.find cache [| 1 |]);
-  Memo.add cache [| 42 |] 42;
-  Alcotest.(check bool) "add is a no-op" false (Memo.mem cache [| 42 |]);
-  Alcotest.(check int) "bypassed lookups counted" 1 (Memo.bypassed_lookups cache);
-  Alcotest.(check int) "misses frozen at the window" 4 (Memo.misses cache);
-  (* reset_stats does not re-arm the probe. *)
-  Memo.reset_stats cache;
-  Alcotest.(check bool) "stays bypassed after reset_stats" true (Memo.bypassed cache)
-
-let test_memo_bypass_not_tripped_by_good_traffic () =
-  let cache = Memo.create ~probe_window:4 ~min_hit_rate:0.5 ~capacity:8 () in
-  ignore (Memo.find cache [| 1 |]);
-  Memo.add cache [| 1 |] 1;
-  for _ = 1 to 3 do ignore (Memo.find cache [| 1 |]) done;
-  Alcotest.(check bool) "hit rate above threshold: keeps caching" false
-    (Memo.bypassed cache);
-  Alcotest.(check (option int)) "still answering" (Some 1) (Memo.find cache [| 1 |]);
-  (* The default create has no probe window: never bypasses. *)
-  let plain = Memo.create ~capacity:2 () in
-  for i = 1 to 50 do ignore (Memo.find plain [| i |]) done;
-  Alcotest.(check bool) "probe_window 0 never bypasses" false (Memo.bypassed plain)
-
 let test_pool_wait_split_stats () =
   (* The conflated wait metric is gone: queue wait (parked between
      batches) and barrier wait (owner idle at the batch barrier) are
@@ -406,8 +316,7 @@ let test_pool_wait_split_stats () =
   Alcotest.(check bool) "queue wait non-negative" true
     (stats.Pool.queue_wait_seconds >= 0.0);
   Alcotest.(check bool) "barrier wait non-negative" true
-    (stats.Pool.barrier_wait_seconds >= 0.0);
-  Alcotest.(check bool) "not degraded" false stats.Pool.degraded
+    (stats.Pool.barrier_wait_seconds >= 0.0)
 
 (* Property: a capacity-c cache behaves like its unbounded reference on
    the most recent <= c distinct keys. *)
@@ -459,9 +368,6 @@ let () =
             test_pool_retry_heals_flaky_jobs;
           Alcotest.test_case "retry budget exhausted" `Quick
             test_pool_retry_budget_exhausted;
-          Alcotest.test_case "timeout abandons stragglers" `Quick
-            test_pool_timeout_abandons_stragglers;
-          Alcotest.test_case "degrades to serial" `Quick test_pool_degrades_to_serial;
           Alcotest.test_case "absorbs injected faults" `Quick
             test_pool_absorbs_injected_faults;
           Alcotest.test_case "injection respects the retry budget" `Quick
@@ -482,10 +388,6 @@ let () =
           Alcotest.test_case "pin on lookup" `Quick test_memo_pin_on_lookup;
           Alcotest.test_case "pins may overflow capacity" `Quick
             test_memo_pins_may_overflow_capacity;
-          Alcotest.test_case "bypass on poor hit rate" `Quick
-            test_memo_bypass_on_poor_hit_rate;
-          Alcotest.test_case "bypass not tripped by good traffic" `Quick
-            test_memo_bypass_not_tripped_by_good_traffic;
           QCheck_alcotest.to_alcotest prop_memo_model;
         ] );
     ]

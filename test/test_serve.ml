@@ -583,7 +583,6 @@ let test_registry_lifecycle_and_rehydrate () =
       p_generation = 1;
       p_best_fitness = 0.75;
       p_evaluations = 8;
-      p_cache_hits = 0;
     }
     ~now:104.;
   Alcotest.(check int) "generation tracked" 1 entry.Registry.job.Job.generation;

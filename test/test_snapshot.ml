@@ -26,7 +26,6 @@ let engine_eq (a : Engine.checkpoint) (b : Engine.checkpoint) =
   && a.stagnation = b.stagnation
   && flist_eq a.history b.history
   && a.evaluations = b.evaluations
-  && a.cache_hits = b.cache_hits
   && a.rng_state = b.rng_state
 
 let engine_state_eq (a : Synthesis.engine_state) (b : Synthesis.engine_state) =
@@ -44,7 +43,6 @@ let restart_eq (a : Synthesis.restart_summary) (b : Synthesis.restart_summary) =
   && feq a.r_fitness b.r_fitness
   && a.r_generations = b.r_generations
   && a.r_evaluations = b.r_evaluations
-  && a.r_cache_hits = b.r_cache_hits
   && flist_eq a.r_history b.r_history
 
 let run_state_eq (a : Synthesis.run_state) (b : Synthesis.run_state) =
@@ -62,7 +60,6 @@ let run_summary_eq (a : Experiment.run_summary) (b : Experiment.run_summary) =
   && feq a.cpu_seconds b.cpu_seconds
   && a.generations = b.generations
   && a.evaluations = b.evaluations
-  && a.cache_hits = b.cache_hits
   && flist_eq a.history b.history
 
 let summaries_eq a b = List.length a = List.length b && List.for_all2 run_summary_eq a b
@@ -95,7 +92,7 @@ let member_gen = Gen.pair genome_gen float_gen
 
 let engine_gen =
   Gen.map
-    (fun ((generation, members, best, stagnation), (history, evaluations, cache_hits, rng_state)) ->
+    (fun ((generation, members, best, stagnation), (history, evaluations, rng_state)) ->
       {
         Engine.generation;
         members;
@@ -103,30 +100,22 @@ let engine_gen =
         stagnation;
         history;
         evaluations;
-        cache_hits;
         rng_state;
       })
     Gen.(
       pair
         (quad (int_range 0 500) (array_size (int_range 1 6) member_gen) member_gen
            (int_range 0 50))
-        (quad flist_gen (int_range 0 100_000) (int_range 0 100_000) int64_gen))
+        (triple flist_gen (int_range 0 100_000) int64_gen))
 
 let restart_gen =
   Gen.map
-    (fun ((r_genome, r_fitness, r_generations), (r_evaluations, r_cache_hits, r_history)) ->
-      {
-        Synthesis.r_genome;
-        r_fitness;
-        r_generations;
-        r_evaluations;
-        r_cache_hits;
-        r_history;
-      })
+    (fun ((r_genome, r_fitness, r_generations), (r_evaluations, r_history)) ->
+      { Synthesis.r_genome; r_fitness; r_generations; r_evaluations; r_history })
     Gen.(
       pair
         (triple genome_gen float_gen (int_range 0 500))
-        (triple (int_range 0 100_000) (int_range 0 100_000) flist_gen))
+        (pair (int_range 0 100_000) flist_gen))
 
 (* A Sharded state as Islands would checkpoint it: the ring is a
    permutation of the island indices. *)
@@ -154,12 +143,12 @@ let run_state_gen =
 
 let run_summary_gen =
   Gen.map
-    (fun ((genome, power, cpu_seconds), (generations, evaluations, cache_hits, history)) ->
-      { Experiment.genome; power; cpu_seconds; generations; evaluations; cache_hits; history })
+    (fun ((genome, power, cpu_seconds), (generations, evaluations, history)) ->
+      { Experiment.genome; power; cpu_seconds; generations; evaluations; history })
     Gen.(
       pair
         (triple genome_gen float_gen float_gen)
-        (quad (int_range 0 500) (int_range 0 100_000) (int_range 0 100_000) flist_gen))
+        (triple (int_range 0 500) (int_range 0 100_000) flist_gen))
 
 let state_gen =
   Gen.map
@@ -203,7 +192,6 @@ let test_file_roundtrip () =
               r_fitness = 0.1234567890123456;
               r_generations = 17;
               r_evaluations = 900;
-              r_cache_hits = 100;
               r_history = [ 0.5; 0.3; 0.1234567890123456 ];
             };
           ];
@@ -275,13 +263,107 @@ let test_version_mismatch () =
       | e -> Alcotest.fail (Snapshot.error_to_string e))
     (Snapshot.of_string ~spec future)
 
+(* The document shape earlier builds wrote: a [(cache-hits N)] field
+   after every [(evaluations N)] field, in the engine, restart and
+   compare-run sections alike. *)
+let with_cache_hits doc =
+  String.split_on_char '\n' doc
+  |> List.concat_map (fun line ->
+         let trimmed = String.trim line in
+         if String.starts_with ~prefix:"(evaluations " trimmed then
+           let indent = String.sub line 0 (String.index line '(') in
+           [ line; indent ^ "(cache-hits 3)" ]
+         else [ line ])
+  |> String.concat "\n"
+
 let test_version_1_accepted () =
-  (* A version-1 document (no islands field existed) must still load. *)
-  let doc = replace ~needle:"(version 2)" ~by:"(version 1)" (sample_doc ()) in
-  match Snapshot.of_string ~spec doc with
-  | Ok (Snapshot.Compare st) -> Alcotest.(check int) "seed survives" 7 st.Experiment.seed
-  | Ok (Snapshot.Synth _) -> Alcotest.fail "decoded the wrong payload kind"
-  | Error e -> Alcotest.fail (Snapshot.error_to_string e)
+  (* Documents written by earlier builds must still load: version 1 (no
+     islands field existed), and version 2 with the [cache-hits]
+     counters that are no longer written.  The current writer's own
+     output rides along, so a reader that required [cache-hits] again
+     would fail here. *)
+  let synth =
+    Snapshot.Synth
+      {
+        Synthesis.seed = 5;
+        fingerprint = "fp";
+        next_restart = 1;
+        completed =
+          [
+            {
+              Synthesis.r_genome = [| 1; 0 |];
+              r_fitness = 0.5;
+              r_generations = 3;
+              r_evaluations = 90;
+              r_history = [ 0.7; 0.5 ];
+            };
+          ];
+        outer_rng = 42L;
+        engine =
+          Some
+            (Synthesis.Single
+               {
+                 Engine.generation = 2;
+                 members = [| ([| 1; 1 |], 0.8); ([| 0; 1 |], 0.9) |];
+                 best = ([| 1; 1 |], 0.8);
+                 stagnation = 0;
+                 history = [ 0.9; 0.8 ];
+                 evaluations = 60;
+                 rng_state = 17L;
+               });
+      }
+  in
+  let compare =
+    Snapshot.Compare
+      {
+        Experiment.seed = 7;
+        runs = 3;
+        baseline_done =
+          [
+            {
+              Experiment.genome = [| 1 |];
+              power = 0.1;
+              cpu_seconds = 0.2;
+              generations = 4;
+              evaluations = 50;
+              history = [ 0.1 ];
+            };
+          ];
+        proposed_done = [];
+      }
+  in
+  let current payload = Snapshot.to_string ~spec payload in
+  List.iter
+    (fun (name, payload, doc) ->
+      match Snapshot.of_string ~spec doc with
+      | Ok decoded -> Alcotest.(check bool) name true (payload_eq payload decoded)
+      | Error e -> Alcotest.failf "%s: %s" name (Snapshot.error_to_string e))
+    [
+      ( "version 1",
+        compare,
+        replace ~needle:"(version 2)" ~by:"(version 1)" (current compare) );
+      ("current synth", synth, current synth);
+      ("current compare", compare, current compare);
+      ("synth with cache-hits", synth, with_cache_hits (current synth));
+      ("compare with cache-hits", compare, with_cache_hits (current compare));
+    ];
+  let cache_hits doc =
+    List.length
+      (List.filter
+         (fun line -> String.trim line = "(cache-hits 3)")
+         (String.split_on_char '\n' doc))
+  in
+  Alcotest.(check bool) "writer drops cache-hits" false
+    (List.exists
+       (fun payload ->
+         List.exists
+           (fun line -> String.starts_with ~prefix:"(cache-hits" (String.trim line))
+           (String.split_on_char '\n' (current payload)))
+       [ synth; compare ]);
+  Alcotest.(check int) "engine and restart carry cache-hits" 2
+    (cache_hits (with_cache_hits (current synth)));
+  Alcotest.(check int) "compare run carries cache-hits" 1
+    (cache_hits (with_cache_hits (current compare)))
 
 let test_spec_mismatch () =
   check_error "wrong specification"
