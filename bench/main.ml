@@ -1,24 +1,23 @@
 (* Benchmark harness: regenerates every table of the paper's evaluation
-   section plus the ablation studies DESIGN.md calls out, and runs
-   Bechamel micro-benchmarks of the synthesis kernels.
+   section plus the ablation studies DESIGN.md calls out, and owns the
+   two perf gates no other harness has.  Timings of whole runs, the
+   daemon and the fleet engine belong to benchmark/.
 
    Usage:
      dune exec bench/main.exe                         # everything
      dune exec bench/main.exe -- table1               # one experiment
      dune exec bench/main.exe -- table2 --runs 5
      dune exec bench/main.exe -- --quick              # smaller GA budget
+     dune exec bench/main.exe -- --quick --gate eval  # CI perf gate
 
    Experiments (see DESIGN.md §4 and EXPERIMENTS.md):
-     table1   Tab. 1 — probabilities vs baseline, no DVS, mul1..mul12
-     table2   Tab. 2 — same with DVS (SW processors and HW rails)
-     table3   Tab. 3 — smart phone, w/o and with DVS
-     ablation improvement operators / HW-rail DVS / population size
-     parallel domain-pool speedup + island-model grid (BENCH_parallel.json)
-     eval     compiled evaluation kernels before/after (BENCH_eval_kernel.json)
-     soak     checkpoint/kill/resume recovery overhead (BENCH_soak.json)
-     serve    mmsynthd throughput and latency percentiles (BENCH_serve.json)
-     fleet    fleet Monte Carlo devices/second + bit-invariance (BENCH_fleet.json)
-     kernels  Bechamel timings of the inner kernels *)
+     table1     Tab. 1 — probabilities vs baseline, no DVS, mul1..mul12
+     table2     Tab. 2 — same with DVS (SW processors and HW rails)
+     table3     Tab. 3 — smart phone, w/o and with DVS
+     ablation   improvement operators / HW-rail DVS / population size / ...
+     ablation-f DVS slack-distribution strategy alone
+     parallel   jobs x islands grid at equal population (BENCH_parallel.json)
+     eval       compiled evaluation kernels before/after (BENCH_eval_kernel.json) *)
 
 module Table = Mm_util.Table
 module Stats = Mm_util.Stats
@@ -28,8 +27,6 @@ module Fitness = Mm_cosynth.Fitness
 module Synthesis = Mm_cosynth.Synthesis
 module Experiment = Mm_cosynth.Experiment
 module Spec = Mm_cosynth.Spec
-module Mapping = Mm_cosynth.Mapping
-module Core_alloc = Mm_cosynth.Core_alloc
 module Random_system = Mm_benchgen.Random_system
 module Smartphone = Mm_benchgen.Smartphone
 module Scaling = Mm_dvs.Scaling
@@ -84,6 +81,13 @@ let ga_config options =
   else Engine.default_config
 
 let milliwatt w = w *. 1e3
+
+(* Seconds [f ()] took on the monotonic clock, so a step of the system
+   clock can neither pass nor fail a gate. *)
+let wall f =
+  let started = Monotonic_clock.now () in
+  let result = f () in
+  (Int64.to_float (Int64.sub (Monotonic_clock.now ()) started) *. 1e-9, result)
 
 let power_cell (s : Stats.summary) =
   Printf.sprintf "%.3f ±%.2f" (milliwatt s.Stats.mean) (milliwatt s.Stats.std)
@@ -414,194 +418,112 @@ let ablation options =
   ablation_scheduler_policy options;
   ablation_dvs_strategy options
 
-(* --- Parallel evaluation ------------------------------------------------------ *)
+(* --- Island-model grid ---------------------------------------------------------- *)
 
-(* Wall-clock speedup of the domain-pooled fitness evaluation at 1/2/4/8
-   domains on a mul-scale workload, plus the memoization cache's hit
-   rate over the table1 benchmarks.  Written to BENCH_parallel.json so
-   later PRs have a perf trajectory to compare against. *)
+(* Wall time of the island-model GA on mul6 over a jobs x islands grid,
+   pool domains scheduling whole islands instead of evaluation batches.
+   Every row does equal work: islands x population-per-island is
+   [Engine.default_config]'s population at its default generation
+   budget, whatever --quick says, because a sub-second run is decided by
+   fixed per-run costs.  The (jobs=1, islands=1) row is the baseline;
+   islands > jobs is legal (round-robin), only jobs > cores is degraded.
+   Jobs never change a trajectory, so every row with the same island
+   count must report a bit-identical power (the run exits 1 otherwise);
+   islands do change it, so powers differ between island counts.  Each
+   row records its evaluations, so a reader can tell how much of an
+   island win is the algorithm (jobs=1) and how much is parallelism.
+   Written to BENCH_parallel.json. *)
 
 let parallel options =
-  Format.printf "@.== Parallel fitness evaluation: domains and memoization ==@.";
-  let ga = ga_config options in
+  Format.printf "@.== Island-model GA: jobs x islands at equal population ==@.";
   let seed = 1 in
-  let wall_of config spec =
-    let started = Unix.gettimeofday () in
-    let result = Synthesis.run ~config ~spec ~seed () in
-    (Unix.gettimeofday () -. started, result)
-  in
-  (* Speedup vs domains, cache off, so the pool is measured in isolation.
-     Metrics collection is on for these runs: the per-phase histograms
-     break the wall-clock figure down into fitness-pipeline phases, and
-     the pool counters report how much of the domains' time was spent
-     working vs parked. *)
   let spec = Random_system.mul 6 in
-  let domain_counts = [ 1; 2; 4; 8 ] in
+  let population = Engine.default_config.Engine.population_size in
   let cores = Domain.recommended_domain_count () in
-  (* Honesty: oversubscribed rows time contention, not parallelism. *)
   let degraded jobs = jobs > cores in
-  List.iter
-    (fun jobs ->
-      if degraded jobs then
-        Printf.eprintf
-          "WARNING: measuring %d domains on %d available core(s) - the speedup \
-           figure is degraded by oversubscription\n\
-           %!"
-          jobs cores)
-    domain_counts;
-  let phase_sample () =
-    let snap = Mm_obs.Metrics.snapshot () in
-    let hist name =
-      match List.assoc_opt name snap.Mm_obs.Metrics.histograms with
-      | Some h -> h.Mm_obs.Metrics.sum /. 1e6
-      | None -> 0.0
-    in
-    let counter_s name =
-      match List.assoc_opt name snap.Mm_obs.Metrics.counters with
-      | Some n -> float_of_int n /. 1e6
-      | None -> 0.0
-    in
-    ( hist "fitness/eval_us",
-      hist "fitness/schedule_us",
-      hist "fitness/dvs_us",
-      counter_s "pool/busy_us",
-      (* The old conflated pool/wait_us is gone: queue-wait is dispatch
-         cost (workers parked between batches), barrier-wait is
-         imbalance (the owner idle at the batch barrier). *)
-      counter_s "pool/queue_wait_us",
-      counter_s "pool/barrier_wait_us" )
-  in
-  Mm_obs.Control.set_metrics true;
-  let timings =
-    List.map
+  let rows =
+    List.concat_map
       (fun jobs ->
-        let config = { Synthesis.default_config with ga; jobs } in
-        Mm_obs.Metrics.reset ();
-        let seconds, result = wall_of config spec in
-        let phases = phase_sample () in
-        Format.printf "  %d domain%s done@?@." jobs (if jobs = 1 then "" else "s");
-        (jobs, seconds, result, phases))
-      domain_counts
+        List.map
+          (fun islands ->
+            let ga =
+              { Engine.default_config with population_size = population / islands }
+            in
+            let config = { Synthesis.default_config with ga; jobs; islands } in
+            let seconds, result = wall (fun () -> Synthesis.run ~config ~spec ~seed ()) in
+            Format.printf "  %d job%s x %d island%s done@?@." jobs
+              (if jobs = 1 then "" else "s")
+              islands
+              (if islands = 1 then "" else "s");
+            (jobs, islands, seconds, result))
+          [ 1; 2; 4 ])
+      [ 1; 2; 4 ]
   in
-  Mm_obs.Control.set_metrics false;
-  let _, serial_seconds, serial_result, _ = List.hd timings in
-  List.iter
-    (fun (jobs, _, (result : Synthesis.result), _) ->
-      if result.Synthesis.eval.Fitness.true_power
-         <> serial_result.Synthesis.eval.Fitness.true_power
-      then
-        Format.printf
-          "  WARNING: %d-domain run diverged from the serial result (determinism bug)@."
-          jobs)
-    timings;
+  let power (result : Synthesis.result) = result.Synthesis.eval.Fitness.true_power in
+  let base_seconds =
+    let _, _, s, _ = List.find (fun (j, i, _, _) -> j = 1 && i = 1) rows in
+    s
+  in
   let t =
     Table.create
       ~title:
-        (Printf.sprintf "mul6, seed %d, %d CPU core(s) available" seed
-           (Domain.recommended_domain_count ()))
+        (Printf.sprintf "island-model GA on mul6, seed %d, population %d, %d CPU core(s) available"
+           seed population cores)
       ~columns:
         [
-          "domains"; "wall (s)"; "speedup"; "p̄ (mW)"; "eval (s)"; "sched (s)";
-          "dvs (s)"; "pool util"; "q-wait (s)"; "b-wait (s)";
+          "jobs"; "islands"; "pop/island"; "wall (s)"; "speedup"; "p̄ (mW)";
+          "generations"; "evaluations";
         ]
   in
   List.iter
-    (fun ( jobs,
-           seconds,
-           (result : Synthesis.result),
-           (eval_s, sched_s, dvs_s, busy_s, queue_s, barrier_s) ) ->
+    (fun (jobs, islands, seconds, (result : Synthesis.result)) ->
       Table.add_row t
         [
           string_of_int jobs;
-          Printf.sprintf "%.2f" seconds;
-          Printf.sprintf "%.2fx%s"
-            (serial_seconds /. seconds)
-            (if degraded jobs then " (degraded)" else "");
-          Printf.sprintf "%.3f" (milliwatt result.Synthesis.eval.Fitness.true_power);
-          Printf.sprintf "%.2f" eval_s;
-          Printf.sprintf "%.2f" sched_s;
-          Printf.sprintf "%.2f" dvs_s;
-          (* Fraction of the pool domains' lifetime spent running jobs;
-             the pool only exists with two or more domains. *)
-          (if jobs > 1 then
-             Printf.sprintf "%.0f%%" (100.0 *. busy_s /. (float_of_int jobs *. seconds))
-           else "-");
-          (if jobs > 1 then Printf.sprintf "%.2f" queue_s else "-");
-          (if jobs > 1 then Printf.sprintf "%.2f" barrier_s else "-");
-        ])
-    timings;
-  Table.print t;
-  (* Island-model grid: the same workload with the population sharded
-     across islands, pool domains scheduling whole islands instead of
-     evaluation batches.  The (jobs=1, islands=1) row is the baseline;
-     islands > jobs is legal (round-robin), only jobs > cores is
-     degraded.  Unlike --jobs, islands change the trajectory, so powers
-     differ between island counts — each row prints its own. *)
-  let island_grid =
-    List.concat_map
-      (fun jobs -> List.map (fun islands -> (jobs, islands)) [ 1; 2; 4 ])
-      [ 1; 2; 4 ]
-  in
-  let island_rows =
-    List.map
-      (fun (jobs, islands) ->
-        let config = { Synthesis.default_config with ga; jobs; islands } in
-        let seconds, result = wall_of config spec in
-        Format.printf "  %d job%s x %d island%s done@?@." jobs
-          (if jobs = 1 then "" else "s")
-          islands
-          (if islands = 1 then "" else "s");
-        (jobs, islands, seconds, result))
-      island_grid
-  in
-  let island_base =
-    let _, _, s, _ =
-      List.find (fun (j, i, _, _) -> j = 1 && i = 1) island_rows
-    in
-    s
-  in
-  let it =
-    Table.create
-      ~title:
-        (Printf.sprintf "island-model GA on mul6, seed %d, %d CPU core(s) available"
-           seed cores)
-      ~columns:[ "jobs"; "islands"; "wall (s)"; "speedup"; "p̄ (mW)"; "generations" ]
-  in
-  List.iter
-    (fun (jobs, islands, seconds, (result : Synthesis.result)) ->
-      Table.add_row it
-        [
-          string_of_int jobs;
           string_of_int islands;
+          string_of_int (population / islands);
           Printf.sprintf "%.2f" seconds;
-          Printf.sprintf "%.2fx%s" (island_base /. seconds)
+          Printf.sprintf "%.2fx%s" (base_seconds /. seconds)
             (if degraded jobs then " (degraded)" else "");
-          Printf.sprintf "%.3f" (milliwatt result.Synthesis.eval.Fitness.true_power);
+          Printf.sprintf "%.3f" (milliwatt (power result));
           string_of_int result.Synthesis.generations;
+          string_of_int result.Synthesis.evaluations;
         ])
-    island_rows;
-  Table.print it;
-  (* The parallel gate's verdict, computed here so the JSON records it
-     whether or not --gate is enforcing: on a multi-core machine the
-     best non-degraded islands>=2 run with jobs>=2 must not lose wall
-     time to the single-population (jobs=1, islands=1) run.  On a
-     1-core runner the wall-clock assertion is meaningless, so the gate
-     is skipped with the reason recorded. *)
-  let island_candidates =
+    rows;
+  Table.print t;
+  let diverged =
     List.filter
-      (fun (j, i, _, _) -> i >= 2 && j >= 2 && not (degraded j))
-      island_rows
+      (fun (_, islands, _, result) ->
+        let _, _, _, serial = List.find (fun (j, i, _, _) -> j = 1 && i = islands) rows in
+        Int64.bits_of_float (power result) <> Int64.bits_of_float (power serial))
+      rows
+  in
+  if diverged <> [] then begin
+    List.iter
+      (fun (jobs, islands, _, _) ->
+        Printf.eprintf "determinism: jobs=%d islands=%d diverged from jobs=1\n%!" jobs
+          islands)
+      diverged;
+    exit 1
+  end;
+  (* The gate's verdict, computed here so the JSON records it whether or
+     not --gate is enforcing: on a multi-core machine the best
+     non-degraded islands>=2 run with jobs>=2 must not lose wall time to
+     the single-population (jobs=1, islands=1) run.  On a 1-core runner
+     the wall-clock assertion is meaningless, so the gate is skipped with
+     the reason recorded. *)
+  let candidates =
+    List.filter (fun (j, i, _, _) -> i >= 2 && j >= 2 && not (degraded j)) rows
   in
   let best_island_wall =
-    List.fold_left (fun acc (_, _, s, _) -> min acc s) infinity island_candidates
+    List.fold_left (fun acc (_, _, s, _) -> min acc s) infinity candidates
   in
-  let gate_skipped = cores <= 1 || island_candidates = [] in
+  let gate_skipped = cores <= 1 || candidates = [] in
   let gate_reason =
     if cores <= 1 then Printf.sprintf "cpu_cores = %d, wall-clock assertion" cores
-    else if island_candidates = [] then "no non-degraded islands>=2 row"
+    else if candidates = [] then "no non-degraded islands>=2 row"
     else ""
   in
-  (* Machine-readable baseline. *)
   let path = "BENCH_parallel.json" in
   let oc = open_out path in
   let p fmt = Printf.fprintf oc fmt in
@@ -609,34 +531,22 @@ let parallel options =
   p "  \"experiment\": \"parallel\",\n";
   p "  \"workload\": \"mul6\",\n";
   p "  \"seed\": %d,\n" seed;
-  p "  \"quick\": %b,\n" options.quick;
-  p "  \"cpu_cores\": %d,\n" (Domain.recommended_domain_count ());
-  p "  \"domains\": [\n";
-  List.iteri
-    (fun i (jobs, seconds, _, (eval_s, sched_s, dvs_s, busy_s, queue_s, barrier_s)) ->
-      p
-        "    { \"jobs\": %d, \"degraded\": %b, \"wall_seconds\": %.3f, \
-         \"speedup\": %.3f, \"eval_seconds\": %.3f, \"sched_seconds\": %.3f, \
-         \"dvs_seconds\": %.3f, \"pool_busy_seconds\": %.3f, \
-         \"pool_queue_wait_seconds\": %.3f, \"pool_barrier_wait_seconds\": %.3f }%s\n"
-        jobs (degraded jobs) seconds
-        (serial_seconds /. seconds)
-        eval_s sched_s dvs_s busy_s queue_s barrier_s
-        (if i = List.length timings - 1 then "" else ","))
-    timings;
-  p "  ],\n";
+  p "  \"cpu_cores\": %d,\n" cores;
+  p "  \"population_size\": %d,\n" population;
+  p "  \"max_generations\": %d,\n" Engine.default_config.Engine.max_generations;
   p "  \"islands\": [\n";
   List.iteri
     (fun i (jobs, islands, seconds, (result : Synthesis.result)) ->
       p
-        "    { \"jobs\": %d, \"islands\": %d, \"degraded\": %b, \
-         \"wall_seconds\": %.3f, \"speedup\": %.3f, \"power_mw\": %.6f, \
-         \"generations\": %d }%s\n"
-        jobs islands (degraded jobs) seconds (island_base /. seconds)
-        (milliwatt result.Synthesis.eval.Fitness.true_power)
-        result.Synthesis.generations
-        (if i = List.length island_rows - 1 then "" else ","))
-    island_rows;
+        "    { \"jobs\": %d, \"islands\": %d, \"population_per_island\": %d, \
+         \"degraded\": %b, \"wall_seconds\": %.3f, \"speedup\": %.3f, \
+         \"power_mw\": %.6f, \"generations\": %d, \"evaluations\": %d }%s\n"
+        jobs islands (population / islands) (degraded jobs) seconds
+        (base_seconds /. seconds)
+        (milliwatt (power result))
+        result.Synthesis.generations result.Synthesis.evaluations
+        (if i = List.length rows - 1 then "" else ","))
+    rows;
   p "  ],\n";
   if gate_skipped then
     p "  \"island_gate\": { \"skipped\": true, \"reason\": %S, \"cpu_cores\": %d }\n"
@@ -645,7 +555,7 @@ let parallel options =
     p
       "  \"island_gate\": { \"skipped\": false, \"cpu_cores\": %d, \
        \"islands1_wall_seconds\": %.3f, \"best_island_wall_seconds\": %.3f }\n"
-      cores island_base best_island_wall;
+      cores base_seconds best_island_wall;
   p "}\n";
   close_out oc;
   Format.printf "wrote %s@." path;
@@ -656,7 +566,7 @@ let parallel options =
     else begin
       (* 5%% measured-noise slack: the requirement is "not slower", the
          slack keeps a same-speed run from flaking the build. *)
-      let ceiling = island_base *. 1.05 in
+      let ceiling = base_seconds *. 1.05 in
       if best_island_wall <= ceiling then
         Format.printf "  gate ok   islands_speedup %26.3fs <= %.3fs@."
           best_island_wall ceiling
@@ -670,134 +580,6 @@ let parallel options =
       Format.printf "gate: all checks passed@."
     end
   end
-
-(* --- Soak: checkpoint, kill, resume ------------------------------------------- *)
-
-(* Cost of fault tolerance (DESIGN.md §11): the same synthesis run
-   straight through, with a checkpoint written every generation, and
-   killed mid-flight then resumed from the last snapshot.  The resumed
-   run must reproduce the straight run's result bit-for-bit; the JSON
-   baseline records the checkpointing and recovery overheads so later
-   PRs notice a regression in either. *)
-
-exception Soak_interrupted
-
-let soak options =
-  Format.printf "@.== Soak: checkpoint every generation, kill, resume ==@.";
-  let ga =
-    { (ga_config options) with Engine.population_size = 24; max_generations = 40 }
-  in
-  let spec = Random_system.mul 4 in
-  let seed = 11 in
-  let config = { Synthesis.default_config with ga } in
-  let path = Filename.temp_file "mmsyn_soak" ".snap" in
-  let wall f =
-    let started = Unix.gettimeofday () in
-    let result = f () in
-    (Unix.gettimeofday () -. started, result)
-  in
-  let sink = Mm_io.Snapshot.synth_sink ~path ~spec ~every:1 () in
-  let straight_seconds, straight = wall (fun () -> Synthesis.run ~config ~spec ~seed ()) in
-  (* Same run with a checkpoint after every generation: the steady-state
-     cost of being interruptible. *)
-  let n_checkpoints = ref 0 in
-  let counting =
-    { sink with Synthesis.save = (fun st -> sink.Synthesis.save st; incr n_checkpoints) }
-  in
-  let checkpointed_seconds, checkpointed =
-    wall (fun () -> Synthesis.run ~config ~checkpoint:counting ~spec ~seed ())
-  in
-  let snapshot_bytes = (Unix.stat path).Unix.st_size in
-  (* Kill the run halfway through its checkpoints, then resume from the
-     file it left behind. *)
-  let kill_at = max 1 (!n_checkpoints / 2) in
-  let written = ref 0 in
-  let killer =
-    {
-      sink with
-      Synthesis.save =
-        (fun st ->
-          sink.Synthesis.save st;
-          incr written;
-          if !written >= kill_at then raise Soak_interrupted);
-    }
-  in
-  let interrupted_seconds, () =
-    wall (fun () ->
-        match Synthesis.run ~config ~checkpoint:killer ~spec ~seed () with
-        | _ -> failwith "soak: the run was not interrupted"
-        | exception Soak_interrupted -> ())
-  in
-  let resume =
-    match Mm_io.Snapshot.load ~path ~spec with
-    | Ok (Mm_io.Snapshot.Synth state) -> state
-    | Ok (Mm_io.Snapshot.Compare _) | Error _ ->
-      failwith "soak: cannot reload the snapshot the killed run left behind"
-  in
-  let resume_seconds, resumed =
-    wall (fun () -> Synthesis.run ~config ~resume ~spec ~seed ())
-  in
-  Sys.remove path;
-  let bits (r : Synthesis.result) =
-    Int64.bits_of_float r.Synthesis.eval.Fitness.true_power
-  in
-  let identical =
-    bits resumed = bits straight
-    && resumed.Synthesis.genome = straight.Synthesis.genome
-    && bits checkpointed = bits straight
-  in
-  if not identical then
-    Format.printf
-      "  WARNING: checkpointed or resumed run diverged from the straight run \
-       (determinism bug)@.";
-  let percent_over base v = 100.0 *. (v -. base) /. base in
-  let checkpoint_overhead = percent_over straight_seconds checkpointed_seconds in
-  let recovery_overhead =
-    percent_over straight_seconds (interrupted_seconds +. resume_seconds)
-  in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf "mul4, seed %d, %d checkpoints of %d bytes, killed after %d"
-           seed !n_checkpoints snapshot_bytes kill_at)
-      ~columns:[ "run"; "wall (s)"; "p̄ (mW)"; "bit-identical" ]
-  in
-  let row label seconds power_cell identical_cell =
-    Table.add_row t [ label; Printf.sprintf "%.2f" seconds; power_cell; identical_cell ]
-  in
-  let power (r : Synthesis.result) =
-    Printf.sprintf "%.4f" (milliwatt r.Synthesis.eval.Fitness.true_power)
-  in
-  row "straight (no checkpoints)" straight_seconds (power straight) "-";
-  row "checkpoint every generation" checkpointed_seconds (power checkpointed)
-    (string_of_bool (bits checkpointed = bits straight));
-  row "interrupted (killed mid-run)" interrupted_seconds "-" "-";
-  row "resumed from snapshot" resume_seconds (power resumed)
-    (string_of_bool (bits resumed = bits straight));
-  Table.print t;
-  Format.printf "checkpointing overhead: %.1f%%, interrupt+resume vs straight: %+.1f%%@."
-    checkpoint_overhead recovery_overhead;
-  let json_path = "BENCH_soak.json" in
-  let oc = open_out json_path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"soak\",\n";
-  p "  \"workload\": \"mul4\",\n";
-  p "  \"seed\": %d,\n" seed;
-  p "  \"quick\": %b,\n" options.quick;
-  p "  \"checkpoints\": %d,\n" !n_checkpoints;
-  p "  \"killed_after_checkpoint\": %d,\n" kill_at;
-  p "  \"snapshot_bytes\": %d,\n" snapshot_bytes;
-  p "  \"straight_wall_seconds\": %.3f,\n" straight_seconds;
-  p "  \"checkpointed_wall_seconds\": %.3f,\n" checkpointed_seconds;
-  p "  \"interrupted_wall_seconds\": %.3f,\n" interrupted_seconds;
-  p "  \"resume_wall_seconds\": %.3f,\n" resume_seconds;
-  p "  \"checkpoint_overhead_percent\": %.2f,\n" checkpoint_overhead;
-  p "  \"recovery_overhead_percent\": %.2f,\n" recovery_overhead;
-  p "  \"bit_identical\": %b\n" identical;
-  p "}\n";
-  close_out oc;
-  Format.printf "wrote %s@." json_path
 
 (* --- Compiled evaluation kernels ---------------------------------------------- *)
 
@@ -839,10 +621,8 @@ let eval_kernel options =
   in
   let measure evaluate genomes =
     Mm_obs.Metrics.reset ();
-    let started = Unix.gettimeofday () in
-    List.iter (fun g -> ignore (evaluate g)) genomes;
-    let wall = Unix.gettimeofday () -. started in
-    (wall, Mm_obs.Metrics.snapshot ())
+    let seconds, () = wall (fun () -> List.iter (fun g -> ignore (evaluate g)) genomes) in
+    (seconds, Mm_obs.Metrics.snapshot ())
   in
   (* DVS on, so the dvs phase is non-trivial in both pipelines. *)
   let config = { Fitness.default_config with Fitness.dvs = Fitness.Dvs Scaling.default_config } in
@@ -863,11 +643,6 @@ let eval_kernel options =
         ("mul6", Random_system.mul 6);
         ("mul12", Random_system.mul 12);
       ]
-  in
-  let time f =
-    let started = Unix.gettimeofday () in
-    f ();
-    Unix.gettimeofday () -. started
   in
   (* Isolated DVS kernel: the same (graph, schedule) pairs through the
      seed greedy loop and the heap-based one, with a float-bit
@@ -901,8 +676,8 @@ let eval_kernel options =
         end)
       pairs;
     let reps = if options.quick then 60 else 250 in
-    let reference_seconds =
-      time (fun () ->
+    let reference_seconds, () =
+      wall (fun () ->
           for _ = 1 to reps do
             List.iter
               (fun (graph, schedule) ->
@@ -910,8 +685,8 @@ let eval_kernel options =
               pairs
           done)
     in
-    let heap_seconds =
-      time (fun () ->
+    let heap_seconds, () =
+      wall (fun () ->
           for _ = 1 to reps do
             List.iter
               (fun (graph, schedule) ->
@@ -971,19 +746,20 @@ let eval_kernel options =
     let passes = 9 in
     let full_times = ref [] and delta_times = ref [] and snap = ref None in
     for k = 1 to passes do
-      let full_fitness = ref [] and delta_fitness = ref [] in
-      full_times := time (fun () -> full_fitness := full_pass ()) :: !full_times;
+      let full_s, full_fitness = wall full_pass in
       (* The delta counters are read from the first delta pass alone. *)
       if k = 1 then Mm_obs.Metrics.reset ();
-      delta_times := time (fun () -> delta_fitness := delta_pass ()) :: !delta_times;
+      let delta_s, delta_fitness = wall delta_pass in
       if k = 1 then snap := Some (Mm_obs.Metrics.snapshot ());
+      full_times := full_s :: !full_times;
+      delta_times := delta_s :: !delta_times;
       List.iter2
         (List.iter2 (fun a b ->
              if Int64.bits_of_float a <> Int64.bits_of_float b then begin
                Printf.eprintf "BUG: delta evaluation diverged from the full pipeline\n%!";
                exit 1
              end))
-        !full_fitness !delta_fitness
+        full_fitness delta_fitness
     done;
     let full_seconds = Stats.median !full_times in
     let delta_seconds = Stats.median !delta_times in
@@ -1187,311 +963,6 @@ let eval_kernel options =
     Format.printf "gate: all checks passed@."
   end
 
-(* --- Bechamel kernels -------------------------------------------------------- *)
-
-let kernels _options =
-  Format.printf "@.== Bechamel kernel timings ==@.";
-  let open Bechamel in
-  let spec = Random_system.mul 1 in
-  let rng = Prng.create ~seed:1 in
-  let genome = Mm_ga.Genome.random rng ~counts:(Spec.gene_counts spec) in
-  let nominal_config = Fitness.default_config in
-  let dvs_config = { Fitness.default_config with dvs = Fitness.Dvs Scaling.default_config } in
-  let phone = Smartphone.spec () in
-  let phone_genome = Mm_ga.Genome.random rng ~counts:(Spec.gene_counts phone) in
-  let tests =
-    [
-      Test.make ~name:"fitness/mul1/no-dvs"
-        (Staged.stage (fun () -> ignore (Fitness.evaluate nominal_config spec genome)));
-      Test.make ~name:"fitness/mul1/dvs"
-        (Staged.stage (fun () -> ignore (Fitness.evaluate dvs_config spec genome)));
-      Test.make ~name:"fitness/smartphone/no-dvs"
-        (Staged.stage (fun () -> ignore (Fitness.evaluate nominal_config phone phone_genome)));
-      Test.make ~name:"fitness/smartphone/dvs"
-        (Staged.stage (fun () -> ignore (Fitness.evaluate dvs_config phone phone_genome)));
-      Test.make ~name:"benchgen/mul-generate"
-        (Staged.stage (fun () -> ignore (Random_system.generate ~seed:3 ())));
-    ]
-  in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let measure = Toolkit.Instance.monotonic_clock in
-  let analysis = Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |] in
-  let t = Table.create ~title:"kernel execution times" ~columns:[ "kernel"; "time/run"; "r²" ] in
-  List.iter
-    (fun test ->
-      List.iter
-        (fun elt ->
-          let raw = Benchmark.run cfg [ measure ] elt in
-          let ols = Analyze.one analysis measure raw in
-          let nanoseconds =
-            match Analyze.OLS.estimates ols with Some (e :: _) -> e | Some [] | None -> nan
-          in
-          let r2 = Option.value ~default:nan (Analyze.OLS.r_square ols) in
-          let time_cell =
-            if nanoseconds > 1e6 then Printf.sprintf "%.3f ms" (nanoseconds /. 1e6)
-            else Printf.sprintf "%.1f µs" (nanoseconds /. 1e3)
-          in
-          Table.add_row t [ Test.Elt.name elt; time_cell; Printf.sprintf "%.4f" r2 ])
-        (Test.elements test))
-    tests;
-  Table.print t
-
-(* --- serve: daemon load generator --------------------------------------------- *)
-
-(* Load-tests mmsynthd end to end: an in-process daemon on a Unix-domain
-   socket, >= 100 mixed-size submissions (mul1..mul6 round-robin, fresh
-   seeds), then every job watched to completion.  Three client-relevant
-   latencies come out as p50/p90/p99:
-
-     admission   submit round-trip measured at the client — how long a
-                 caller waits for an id while the scheduler is busy
-     first-gen   submission -> first generation event (daemon clock)
-     completion  submission -> terminal state (daemon clock)
-
-   plus end-to-end throughput.  Written to BENCH_serve.json. *)
-let serve options =
-  let module Job = Mm_serve.Job in
-  let module Protocol = Mm_serve.Protocol in
-  let module Server = Mm_serve.Server in
-  let module Client = Mm_serve.Client in
-  Format.printf "@.=== serve: daemon throughput and latency ===@.";
-  let n_jobs =
-    match options.runs with
-    | Some n -> max 1 n
-    | None -> if options.quick then 100 else 200
-  in
-  let job_options =
-    {
-      Job.default_options with
-      generations = (if options.quick then 6 else 15);
-      population = 8;
-      restarts = 1;
-    }
-  in
-  let base =
-    let d = Filename.get_temp_dir_name () in
-    if String.length d < 60 then d else "/tmp"
-  in
-  let dir = Filename.temp_file ~temp_dir:base "bench-serve" "" in
-  Sys.remove dir;
-  Unix.mkdir dir 0o755;
-  let socket = Filename.concat dir "bench.sock" in
-  let daemon =
-    Domain.spawn (fun () ->
-        Server.run
-          {
-            Server.default_config with
-            Server.socket_path = socket;
-            state_dir = Filename.concat dir "state";
-            pool_jobs = 1;
-            checkpoint_every = 10;
-          })
-  in
-  let rec wait_for_socket n =
-    if Sys.file_exists socket then ()
-    else if n = 0 then failwith "serve: daemon socket never appeared"
-    else (
-      Unix.sleepf 0.02;
-      wait_for_socket (n - 1))
-  in
-  wait_for_socket 250;
-  let specs =
-    Array.init 6 (fun i -> Mm_io.Codec.spec_to_string (Random_system.mul (i + 1)))
-  in
-  let client = Client.connect ~socket in
-  let admission = Array.make n_jobs 0.0 in
-  let ids = Array.make n_jobs "" in
-  let wall_start = Unix.gettimeofday () in
-  for i = 0 to n_jobs - 1 do
-    let spec_text = specs.(i mod Array.length specs) in
-    let req =
-      Protocol.Submit
-        {
-          spec_text;
-          options = { job_options with Job.seed = 1000 + i };
-          nonce = None;
-        }
-    in
-    let t0 = Unix.gettimeofday () in
-    match Client.request client req with
-    | Ok (Protocol.Accepted view) ->
-      admission.(i) <- Unix.gettimeofday () -. t0;
-      ids.(i) <- view.Protocol.v_id
-    | Ok _ | Error _ -> failwith "serve: submission refused"
-  done;
-  (* Watch each job to its terminal state; the final views carry every
-     daemon-side timestamp the latency distributions need. *)
-  let views =
-    Array.map
-      (fun id ->
-        match Client.watch client id ~on_event:(fun _ -> ()) with
-        | Ok view when view.Protocol.v_state = Job.Completed -> view
-        | Ok view ->
-          failwith
-            (Printf.sprintf "serve: %s ended %s" id
-               (Job.state_to_string view.Protocol.v_state))
-        | Error e -> failwith ("serve: watch " ^ id ^ ": " ^ e))
-      ids
-  in
-  let wall = Unix.gettimeofday () -. wall_start in
-  (match Client.request client Protocol.Shutdown with
-  | Ok Protocol.Done -> ()
-  | Ok _ | Error _ -> failwith "serve: shutdown refused");
-  Client.close client;
-  Domain.join daemon;
-  let rec rmtree path =
-    if Sys.is_directory path then (
-      Array.iter (fun f -> rmtree (Filename.concat path f)) (Sys.readdir path);
-      Unix.rmdir path)
-    else Sys.remove path
-  in
-  rmtree dir;
-  let stamp (view : Protocol.job_view) field =
-    match field view with
-    | Some t -> t -. view.Protocol.v_submitted_at
-    | None -> failwith "serve: completed job missing a timestamp"
-  in
-  let first_gen =
-    Array.map (fun v -> stamp v (fun v -> v.Protocol.v_first_generation_at)) views
-  in
-  let completion =
-    Array.map (fun v -> stamp v (fun v -> v.Protocol.v_finished_at)) views
-  in
-  let percentile samples q =
-    let sorted = Array.copy samples in
-    Array.sort compare sorted;
-    let n = Array.length sorted in
-    let rank = int_of_float (ceil (q *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) rank))
-  in
-  let ms v = 1000.0 *. v in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf "%d submissions over %d spec sizes, wall %.2f s, %.1f jobs/s"
-           n_jobs (Array.length specs) wall (float_of_int n_jobs /. wall))
-      ~columns:[ "latency"; "p50 (ms)"; "p90 (ms)"; "p99 (ms)" ]
-  in
-  let row label samples =
-    Table.add_row t
-      [
-        label;
-        Printf.sprintf "%.2f" (ms (percentile samples 0.50));
-        Printf.sprintf "%.2f" (ms (percentile samples 0.90));
-        Printf.sprintf "%.2f" (ms (percentile samples 0.99));
-      ]
-  in
-  row "admission (client round-trip)" admission;
-  row "first generation" first_gen;
-  row "completion" completion;
-  Table.print t;
-  let json_path = "BENCH_serve.json" in
-  let oc = open_out json_path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"serve\",\n";
-  p "  \"quick\": %b,\n" options.quick;
-  p "  \"jobs\": %d,\n" n_jobs;
-  p "  \"spec_sizes\": %d,\n" (Array.length specs);
-  p "  \"wall_seconds\": %.3f,\n" wall;
-  p "  \"throughput_jobs_per_second\": %.3f,\n" (float_of_int n_jobs /. wall);
-  let field name samples last =
-    p "  \"%s_p50_ms\": %.3f,\n" name (ms (percentile samples 0.50));
-    p "  \"%s_p90_ms\": %.3f,\n" name (ms (percentile samples 0.90));
-    p "  \"%s_p99_ms\": %.3f%s\n" name (ms (percentile samples 0.99))
-      (if last then "" else ",")
-  in
-  field "admission" admission false;
-  field "first_generation" first_gen false;
-  field "completion" completion true;
-  p "}\n";
-  close_out oc;
-  Format.printf "wrote %s@." json_path
-
-(* --- Fleet Monte Carlo throughput ----------------------------------------------- *)
-
-(* Devices/second of the fleet engine across domain counts and batch
-   sizes, plus an in-bench check of its central claim: the full JSON
-   report (and so every percentile bit) is identical at any jobs/batch
-   combination.  Written to BENCH_fleet.json. *)
-let fleet options =
-  Format.printf "@.== Fleet Monte Carlo: devices/second and bit-invariance ==@.";
-  let spec = Smartphone.spec () in
-  let config = { Synthesis.default_config with Synthesis.ga = ga_config options } in
-  let result = Synthesis.run ~config ~spec ~seed:1 () in
-  let omsm = Spec.omsm spec in
-  let mode_powers = result.Synthesis.eval.Fitness.mode_powers in
-  let devices = if options.quick then 20_000 else 100_000 in
-  let horizon = 1_000.0 in
-  let run ~jobs ~batch =
-    let pool =
-      if jobs > 1 then Some (Mm_parallel.Pool.create ~domains:jobs ()) else None
-    in
-    Fun.protect
-      ~finally:(fun () -> Option.iter Mm_parallel.Pool.shutdown pool)
-      (fun () ->
-        let started = Unix.gettimeofday () in
-        let fleet =
-          Mm_energy.Fleet_sim.run ?pool ~batch ~horizon ~devices ~omsm ~mode_powers
-            ~seed:7 ()
-        in
-        (fleet, Unix.gettimeofday () -. started))
-  in
-  let cores = Domain.recommended_domain_count () in
-  let job_counts = List.sort_uniq compare [ 1; min 2 cores; min 4 cores; min 8 cores ] in
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf "%d devices, horizon %.0f s, smartphone best design" devices
-           horizon)
-      ~columns:[ "jobs"; "batch"; "wall (s)"; "devices/s" ]
-  in
-  let reference = ref None in
-  let rows = ref [] in
-  let measure ~jobs ~batch =
-    let fleet, wall = run ~jobs ~batch in
-    let json = Mm_energy.Fleet_sim.to_json fleet in
-    (match !reference with
-    | None -> reference := Some json
-    | Some r ->
-      if not (String.equal r json) then begin
-        Printf.eprintf "fleet: report at jobs=%d batch=%d differs from jobs=1\n%!" jobs
-          batch;
-        exit 1
-      end);
-    let rate = float_of_int devices /. wall in
-    Table.add_row t
-      [
-        string_of_int jobs; string_of_int batch; Printf.sprintf "%.2f" wall;
-        Printf.sprintf "%.0f" rate;
-      ];
-    rows := (jobs, batch, wall, rate) :: !rows
-  in
-  List.iter (fun jobs -> measure ~jobs ~batch:4096) job_counts;
-  List.iter (fun batch -> measure ~jobs:(min 4 cores) ~batch) [ 256; 1024; 16384 ];
-  Table.print t;
-  Format.printf "reports identical across every jobs/batch combination@.";
-  let json_path = "BENCH_fleet.json" in
-  let oc = open_out json_path in
-  let p fmt = Printf.fprintf oc fmt in
-  p "{\n";
-  p "  \"experiment\": \"fleet\",\n";
-  p "  \"quick\": %b,\n" options.quick;
-  p "  \"devices\": %d,\n" devices;
-  p "  \"horizon_s\": %.1f,\n" horizon;
-  p "  \"bit_identical\": true,\n";
-  let rows = List.rev !rows in
-  let n_rows = List.length rows in
-  List.iteri
-    (fun i (jobs, batch, wall, rate) ->
-      p "  \"jobs%d_batch%d_wall_s\": %.3f,\n" jobs batch wall;
-      p "  \"jobs%d_batch%d_devices_per_s\": %.0f%s\n" jobs batch rate
-        (if i = n_rows - 1 then "" else ","))
-    rows;
-  p "}\n";
-  close_out oc;
-  Format.printf "wrote %s@." json_path
-
 (* --- Driver -------------------------------------------------------------------- *)
 
 let () =
@@ -1507,10 +978,7 @@ let () =
   let options, selected = parse { runs = None; quick = false; gate = false } [] args in
   let selected =
     if selected = [] then
-      [
-        "table1"; "table2"; "table3"; "ablation"; "parallel"; "eval"; "soak";
-        "serve"; "fleet"; "kernels";
-      ]
+      [ "table1"; "table2"; "table3"; "ablation"; "parallel"; "eval" ]
     else selected
   in
   let total_start = Sys.time () in
@@ -1524,14 +992,10 @@ let () =
       | "ablation-f" -> ablation_dvs_strategy options
       | "parallel" -> parallel options
       | "eval" -> eval_kernel options
-      | "soak" -> soak options
-      | "serve" -> serve options
-      | "fleet" -> fleet options
-      | "kernels" -> kernels options
       | other ->
         Format.printf
           "unknown experiment %S (expected \
-           table1|table2|table3|ablation|parallel|eval|soak|serve|fleet|kernels)@."
+           table1|table2|table3|ablation|ablation-f|parallel|eval)@."
           other;
         exit 1)
     selected;

@@ -135,24 +135,8 @@ let pinned t = List.length t.pins
 
 let mem t key = H.mem t.table key
 
-let clear t =
-  H.reset t.table;
-  t.head <- None;
-  t.tail <- None;
-  List.iter (fun node -> node.pinned <- false) t.pins;
-  t.pins <- []
-
-let reset_stats t =
-  t.n_hits <- 0;
-  t.n_misses <- 0;
-  t.n_evictions <- 0
-
 let length t = H.length t.table
 let capacity t = t.cap
 let hits t = t.n_hits
 let misses t = t.n_misses
 let evictions t = t.n_evictions
-
-let hit_rate t =
-  let total = t.n_hits + t.n_misses in
-  if total = 0 then 0.0 else float_of_int t.n_hits /. float_of_int total

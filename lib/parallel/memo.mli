@@ -54,12 +54,6 @@ val unpin_all : 'v t -> unit
 val pinned : 'v t -> int
 (** Number of currently pinned entries. *)
 
-val clear : 'v t -> unit
-(** Drop all entries.  Counters are kept. *)
-
-val reset_stats : 'v t -> unit
-(** Zero the hit/miss/eviction counters while keeping the entries. *)
-
 val length : 'v t -> int
 
 val capacity : 'v t -> int
@@ -72,6 +66,3 @@ val misses : 'v t -> int
 
 val evictions : 'v t -> int
 (** Number of entries dropped by the LRU bound. *)
-
-val hit_rate : 'v t -> float
-(** [hits / (hits + misses)]; 0 when no lookup happened yet. *)
