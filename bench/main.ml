@@ -199,7 +199,6 @@ let proposed_power ~ga ~dvs ~use_improvements ~spec ~seeds =
       use_improvements;
       restarts = Synthesis.default_config.Synthesis.restarts;
       jobs = Synthesis.default_config.Synthesis.jobs;
-      delta = Synthesis.default_config.Synthesis.delta;
       audit = false;
       islands = Synthesis.default_config.Synthesis.islands;
       migration_interval = Synthesis.default_config.Synthesis.migration_interval;
@@ -345,7 +344,6 @@ let ablation_scheduler_policy options =
             use_improvements = true;
             restarts = Synthesis.default_config.Synthesis.restarts;
             jobs = Synthesis.default_config.Synthesis.jobs;
-            delta = Synthesis.default_config.Synthesis.delta;
             audit = false;
             islands = Synthesis.default_config.Synthesis.islands;
             migration_interval = Synthesis.default_config.Synthesis.migration_interval;
@@ -586,7 +584,7 @@ let parallel options =
 (* Before/after comparison of the compile-once evaluation context
    (DESIGN.md §10): the same stream of genomes — parents plus
    single-gene mutants, mimicking a GA population — evaluated once
-   through the seed pipeline ([Fitness.evaluate_reference]) and once
+   through the seed pipeline ([Fitness_oracle.evaluate]) and once
    through the compiled one ([Fitness.evaluate]), with the per-phase
    probe histograms attributing the time.  Written to
    BENCH_eval_kernel.json so later PRs have a perf trajectory. *)
@@ -633,7 +631,7 @@ let eval_kernel options =
         let rng = Prng.create ~seed:7 in
         let genomes = genome_stream rng spec in
         let before_wall, before =
-          measure (Fitness.evaluate_reference config spec) genomes
+          measure (Fitness_oracle.evaluate config spec) genomes
         in
         let after_wall, after = measure (Fitness.evaluate config spec) genomes in
         Format.printf "  %s done (%d evaluations)@?@." label (List.length genomes);
@@ -665,7 +663,7 @@ let eval_kernel options =
     List.iter
       (fun (graph, schedule) ->
         let a = Scaling.run ~workspace:ws ~dispatch ~graph ~arch ~tech ~schedule () in
-        let b = Scaling.run_reference ~graph ~arch ~tech ~schedule () in
+        let b = Scaling_oracle.run ~graph ~arch ~tech ~schedule () in
         if
           Int64.bits_of_float a.Scaling.total_dyn_energy
           <> Int64.bits_of_float b.Scaling.total_dyn_energy
@@ -681,7 +679,7 @@ let eval_kernel options =
           for _ = 1 to reps do
             List.iter
               (fun (graph, schedule) ->
-                ignore (Scaling.run_reference ~graph ~arch ~tech ~schedule ()))
+                ignore (Scaling_oracle.run ~graph ~arch ~tech ~schedule ()))
               pairs
           done)
     in

@@ -54,7 +54,6 @@ let run_arm ~ga ~dvs ~use_improvements ~restarts ~jobs ~audit ~islands
       use_improvements;
       restarts;
       jobs;
-      delta = Synthesis.default_config.Synthesis.delta;
       audit;
       islands;
       migration_interval;

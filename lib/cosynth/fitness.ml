@@ -142,30 +142,10 @@ type eval = {
 
 let feasible e = e.timing_feasible && e.area_feasible && e.transition_feasible && e.routable
 
-let mode_mobility spec mapping mode =
-  let omsm = Spec.omsm spec in
-  let arch = Spec.arch spec in
-  let tech = Spec.tech spec in
-  let mode_rec = Omsm.mode omsm mode in
-  let graph = Mode.graph mode_rec in
-  let per_task = (mapping : Mapping.t :> int array array).(mode) in
-  let exec_time task =
-    let pe = Arch.pe arch per_task.(Task.id task) in
-    (Tech_lib.find_exn tech ~ty:(Task.ty task) ~pe).Tech_lib.exec_time
-  in
-  let comm_time (e : Graph.edge) =
-    match
-      Comm_mapping.route arch ~src_pe:per_task.(e.src) ~dst_pe:per_task.(e.dst)
-        ~data:e.data
-    with
-    | Comm_mapping.Local | Comm_mapping.Unroutable -> 0.0
-    | Comm_mapping.Via { time; _ } -> time
-  in
-  Mobility.compute graph ~exec_time ~comm_time ~horizon:(Mode.period mode_rec)
-
-(* The same analysis against the compiled context: dense dispatch for
-   execution times, the route table for communication times, each edge
-   routed once.  Bit-identical to [mode_mobility]. *)
+(* Per-mode mobility analysis under the mapping row against the compiled
+   context: dense dispatch for execution times, the route table for
+   communication times, each edge routed once.  Bit-identical to the
+   seed's per-edge analysis (the test oracle's [mode_mobility]). *)
 let compiled_mode_mobility spec ~routes ~dispatch row mode =
   let mode_rec = Omsm.mode (Spec.omsm spec) mode in
   let graph = Mode.graph mode_rec in
@@ -230,8 +210,9 @@ let eval_key ~fingerprint ~read_set ~mode row =
 
 (* Everything downstream of the per-mode triples: timing violations,
    powers averaged under the mode probabilities, penalty factors and the
-   final fitness.  Shared verbatim by the compiled and the reference
-   pipelines so they can only differ in how the triples are produced. *)
+   final fitness.  Shared verbatim by the per-mode pass below and the
+   seed oracle of the test suite, so the two can only differ in how the
+   triples are produced. *)
 let assemble config spec mapping ~alloc ~mobilities ~schedules ~scalings ~mode_powers =
   let omsm = Spec.omsm spec in
   let n_modes = Omsm.n_modes omsm in
@@ -331,14 +312,28 @@ let scaling_of config ?workspace ?dispatch ~graph ~arch ~tech ~schedule () =
     Scaling.run ~config:scaling_config ?workspace ?dispatch ~graph ~arch ~tech
       ~schedule ()
 
-(* The seed DVS pipeline, for the reference oracle below. *)
-let scaling_of_reference config ~graph ~arch ~tech ~schedule =
-  match config.dvs with
-  | No_dvs -> Scaling.nominal_reference ~graph ~arch ~tech ~schedule ()
-  | Dvs scaling_config ->
-    Scaling.run_reference ~config:scaling_config ~graph ~arch ~tech ~schedule ()
+let int_arrays_equal x y =
+  let n = Array.length x in
+  n = Array.length y
+  &&
+  let rec eq i = i >= n || (x.(i) = y.(i) && eq (i + 1)) in
+  eq 0
 
-let evaluate_mapping config spec mapping =
+let count_dirty = Array.fold_left (fun n d -> if d then n + 1 else n) 0
+
+(* The one evaluation pass (DESIGN.md §13), mode by mode in the paper's
+   order: mobility, core allocation, list schedule, DVS, power.
+   [dirty.(mode)] says whether the mode must be computed; a clean mode
+   shares its mapping row with [parent] and takes the parent's mobility
+   analysis and (schedule, scaling, power) triple.  Without a parent
+   every mode is computed.  Computed modes go through the per-mode
+   caches.  Core allocation is global, so it always runs, and a clean
+   mode whose read set ([Core_alloc.read_set], the dependency [eval_key]
+   encodes) moved is promoted to dirty; when that leaves more than half
+   the modes dirty, every mode is marked dirty — the per-mode caches
+   make the full pass nearly as cheap, and a narrow dirty set is where
+   the savings are. *)
+let pass config spec ?parent ~dirty mapping =
   Mm_obs.Probe.run p_eval @@ fun () ->
   let omsm = Spec.omsm spec in
   let arch = Spec.arch spec in
@@ -361,40 +356,64 @@ let evaluate_mapping config spec mapping =
       Memo.unpin_all mobility_cache;
       Memo.unpin_all eval_cache)
   @@ fun () ->
+  let from_parent mode = if dirty.(mode) then None else parent in
   let mobilities =
     Mm_obs.Probe.run p_mobility (fun () ->
         Array.init n_modes (fun mode ->
-            let key = mobility_key ~mode rows.(mode) in
-            match Memo.find ~pin:true mobility_cache key with
-            | Some m ->
-              Metrics.incr c_mob_hit;
-              m
-            | None ->
-              Metrics.incr c_mob_miss;
-              let m = compiled_mode_mobility spec ~routes ~dispatch rows.(mode) mode in
-              Memo.add ~pin:true mobility_cache key m;
-              m))
+            match from_parent mode with
+            | Some p -> p.mobilities.(mode)
+            | None -> (
+              let key = mobility_key ~mode rows.(mode) in
+              match Memo.find ~pin:true mobility_cache key with
+              | Some m ->
+                Metrics.incr c_mob_hit;
+                m
+              | None ->
+                Metrics.incr c_mob_miss;
+                let m = compiled_mode_mobility spec ~routes ~dispatch rows.(mode) mode in
+                Memo.add ~pin:true mobility_cache key m;
+                m)))
   in
   let alloc =
     Mm_obs.Probe.run p_alloc (fun () -> Core_alloc.allocate spec mapping ~mobilities)
   in
-  let fingerprint = config_fingerprint config in
-  let keys =
-    Array.init n_modes (fun mode ->
-        eval_key ~fingerprint
-          ~read_set:(Core_alloc.read_set alloc spec ~mode rows.(mode))
-          ~mode rows.(mode))
+  let read_sets =
+    Array.init n_modes (fun mode -> Core_alloc.read_set alloc spec ~mode rows.(mode))
   in
-  let cached = Array.map (Memo.find ~pin:true eval_cache) keys in
-  Array.iter
-    (function
-      | Some _ -> Metrics.incr c_mode_hit
-      | None -> Metrics.incr c_mode_miss)
-    cached;
+  (match parent with
+  | None -> ()
+  | Some p ->
+    for mode = 0 to n_modes - 1 do
+      if
+        (not dirty.(mode))
+        && not
+             (int_arrays_equal read_sets.(mode)
+                (Core_alloc.read_set p.alloc spec ~mode rows.(mode)))
+      then dirty.(mode) <- true
+    done;
+    if 2 * count_dirty dirty > n_modes then begin
+      Metrics.incr c_delta_fallbacks;
+      Array.fill dirty 0 n_modes true
+    end);
+  let fingerprint = config_fingerprint config in
+  let key mode = eval_key ~fingerprint ~read_set:read_sets.(mode) ~mode rows.(mode) in
+  (* Triples already at hand: the parent's for clean modes, cache hits
+     for dirty ones. *)
+  let known =
+    Array.init n_modes (fun mode ->
+        match from_parent mode with
+        | Some p ->
+          Metrics.incr c_delta_mode_reuse;
+          Some (p.schedules.(mode), p.scalings.(mode), p.mode_powers.(mode))
+        | None ->
+          let found = Memo.find ~pin:true eval_cache (key mode) in
+          Metrics.incr (if Option.is_some found then c_mode_hit else c_mode_miss);
+          found)
+  in
   let schedules =
     Mm_obs.Probe.run p_schedule (fun () ->
         Array.init n_modes (fun mode ->
-            match cached.(mode) with
+            match known.(mode) with
             | Some (schedule, _, _) -> schedule
             | None ->
               let mode_rec = Omsm.mode omsm mode in
@@ -410,7 +429,7 @@ let evaluate_mapping config spec mapping =
     Mm_obs.Probe.run p_dvs (fun () ->
         let workspace = Scaling.domain_workspace () in
         Array.init n_modes (fun mode ->
-            match cached.(mode) with
+            match known.(mode) with
             | Some (_, scaling, _) -> scaling
             | None ->
               let graph = Mode.graph (Omsm.mode omsm mode) in
@@ -420,244 +439,41 @@ let evaluate_mapping config spec mapping =
   let mode_powers =
     Mm_obs.Probe.run p_power (fun () ->
         Array.init n_modes (fun mode ->
-            match cached.(mode) with
+            match known.(mode) with
             | Some (_, _, power) -> power
             | None ->
               Power.mode_power ~arch ~schedule:schedules.(mode)
                 ~dyn_energy:scalings.(mode).Scaling.total_dyn_energy))
   in
   Array.iteri
-    (fun mode cached_triple ->
-      if cached_triple = None then
-        Memo.add ~pin:true eval_cache keys.(mode)
+    (fun mode triple ->
+      if Option.is_none triple then
+        Memo.add ~pin:true eval_cache (key mode)
           (schedules.(mode), scalings.(mode), mode_powers.(mode)))
-    cached;
+    known;
   assemble config spec mapping ~alloc ~mobilities ~schedules ~scalings ~mode_powers
 
-(* The seed pipeline, kept as the equivalence oracle for the compiled
-   path above: per-edge routing, balanced-tree technology lookups, the
-   reference scheduler, no caches.  Same probes, so the bench harness
-   can attribute per-phase time to either implementation. *)
-let evaluate_mapping_reference config spec mapping =
-  Mm_obs.Probe.run p_eval @@ fun () ->
-  let omsm = Spec.omsm spec in
-  let arch = Spec.arch spec in
-  let tech = Spec.tech spec in
-  let n_modes = Omsm.n_modes omsm in
-  let mobilities =
-    Mm_obs.Probe.run p_mobility (fun () ->
-        Array.init n_modes (mode_mobility spec mapping))
-  in
-  let alloc =
-    Mm_obs.Probe.run p_alloc (fun () -> Core_alloc.allocate spec mapping ~mobilities)
-  in
-  let schedules =
-    Mm_obs.Probe.run p_schedule (fun () ->
-        Array.init n_modes (fun mode ->
-            let mode_rec = Omsm.mode omsm mode in
-            List_scheduler.run_reference ~policy:config.scheduler_policy
-              (List_scheduler.make_input ~mode_id:mode ~graph:(Mode.graph mode_rec)
-                 ~arch ~tech
-                 ~mapping:(mapping : Mapping.t :> int array array).(mode)
-                 ~instances:(fun ~pe ~ty ->
-                   max 1 (Core_alloc.instances alloc ~mode ~pe ~ty))
-                 ~period:(Mode.period mode_rec) ())))
-  in
-  let scalings =
-    Mm_obs.Probe.run p_dvs (fun () ->
-        Array.init n_modes (fun mode ->
-            let graph = Mode.graph (Omsm.mode omsm mode) in
-            scaling_of_reference config ~graph ~arch ~tech ~schedule:schedules.(mode)))
-  in
-  let mode_powers =
-    Mm_obs.Probe.run p_power (fun () ->
-        Array.init n_modes (fun mode ->
-            Power.mode_power ~arch ~schedule:schedules.(mode)
-              ~dyn_energy:scalings.(mode).Scaling.total_dyn_energy))
-  in
-  assemble config spec mapping ~alloc ~mobilities ~schedules ~scalings ~mode_powers
+let evaluate_mapping config spec mapping =
+  pass config spec ~dirty:(Array.make (Omsm.n_modes (Spec.omsm spec)) true) mapping
 
-(* --- Delta evaluation (DESIGN.md §13) ------------------------------------- *)
+let evaluate config spec genome =
+  evaluate_mapping config spec (Mapping.of_genome spec genome)
 
-let int_arrays_equal x y =
-  let n = Array.length x in
-  n = Array.length y
-  &&
-  let rec eq i = i >= n || (x.(i) = y.(i) && eq (i + 1)) in
-  eq 0
-
-(* [evaluate_mapping_delta config spec parent ~dirty mapping] evaluates
-   [mapping] given that it differs from [parent.mapping] exactly at the
-   genome positions in [dirty] (ascending).  Bit-identical to
-   [evaluate_mapping] by construction: clean modes reuse the parent's
-   mobility analysis and (schedule, scaling, power) triple; dirty modes
-   run the full compiled per-mode path.  Core allocation is global, so
-   it is always recomputed and the reuse of a clean mode's triple is
-   additionally guarded by its read set ([Core_alloc.read_set], the
-   dependency [eval_key] encodes): when the instance count one of its
-   hardware tasks sees moved, the mode is promoted to dirty.  Falls back
-   to [evaluate_mapping] whenever more than half the modes are dirty —
-   the per-mode caches make the full path nearly as cheap, and a narrow
-   dirty set is where the savings are. *)
-let evaluate_mapping_delta config spec parent ~dirty mapping =
-  let omsm = Spec.omsm spec in
-  let n_modes = Omsm.n_modes omsm in
+(* [dirty] lists genome positions; the pass works on the modes they
+   fall in.  The parent stands for an unchanged genome, and a dirty set
+   spanning more than half the modes skips the parent from the start. *)
+let evaluate_delta config spec ~parent ~dirty genome =
+  let mapping = Mapping.of_genome spec genome in
+  let n_modes = Omsm.n_modes (Spec.omsm spec) in
   let dirty_modes = Array.make n_modes false in
-  let n_dirty = ref 0 in
-  List.iter
-    (fun gene ->
-      let mode = (Spec.position spec gene).Spec.mode in
-      if not dirty_modes.(mode) then begin
-        dirty_modes.(mode) <- true;
-        incr n_dirty
-      end)
-    dirty;
-  if !n_dirty = 0 then parent
-  else if 2 * !n_dirty > n_modes then begin
+  List.iter (fun gene -> dirty_modes.((Spec.position spec gene).Spec.mode) <- true) dirty;
+  let n_dirty = count_dirty dirty_modes in
+  if n_dirty = 0 then parent
+  else if 2 * n_dirty > n_modes then begin
     Metrics.incr c_delta_fallbacks;
     evaluate_mapping config spec mapping
   end
   else begin
     Metrics.incr c_delta_evals;
-    Mm_obs.Probe.run p_eval @@ fun () ->
-    let arch = Spec.arch spec in
-    let tech = Spec.tech spec in
-    let ctx = Spec.compiled spec in
-    let routes = Spec.routes ctx in
-    let dispatch = Spec.dispatch ctx in
-    let rows = (mapping : Mapping.t :> int array array) in
-    let mobility_cache = Spec.mode_mobility_cache ctx in
-    let eval_cache = Spec.mode_eval_cache ctx in
-    Fun.protect ~finally:(fun () ->
-        Memo.unpin_all mobility_cache;
-        Memo.unpin_all eval_cache)
-    @@ fun () ->
-    let mobilities =
-      Mm_obs.Probe.run p_mobility (fun () ->
-          Array.init n_modes (fun mode ->
-              if not dirty_modes.(mode) then parent.mobilities.(mode)
-              else
-                let key = mobility_key ~mode rows.(mode) in
-                match Memo.find ~pin:true mobility_cache key with
-                | Some m ->
-                  Metrics.incr c_mob_hit;
-                  m
-                | None ->
-                  Metrics.incr c_mob_miss;
-                  let m =
-                    compiled_mode_mobility spec ~routes ~dispatch rows.(mode) mode
-                  in
-                  Memo.add ~pin:true mobility_cache key m;
-                  m))
-    in
-    let alloc =
-      Mm_obs.Probe.run p_alloc (fun () -> Core_alloc.allocate spec mapping ~mobilities)
-    in
-    (* Allocation is global: a dirty mode can shift the instances granted
-       to a clean one.  Promote clean modes whose read set moved; a clean
-       mode keeps its row, so the parent's read set is over the same
-       tasks. *)
-    let read_sets =
-      Array.init n_modes (fun mode -> Core_alloc.read_set alloc spec ~mode rows.(mode))
-    in
-    for mode = 0 to n_modes - 1 do
-      if
-        (not dirty_modes.(mode))
-        && not
-             (int_arrays_equal read_sets.(mode)
-                (Core_alloc.read_set parent.alloc spec ~mode rows.(mode)))
-      then begin
-        dirty_modes.(mode) <- true;
-        incr n_dirty
-      end
-    done;
-    if 2 * !n_dirty > n_modes then begin
-      (* The nested full evaluation pins under the same caches; its
-         [unpin_all] runs first and ours is then a no-op. *)
-      Metrics.incr c_delta_fallbacks;
-      evaluate_mapping config spec mapping
-    end
-    else begin
-      let fingerprint = config_fingerprint config in
-      let keys =
-        Array.init n_modes (fun mode ->
-            if dirty_modes.(mode) then
-              Some (eval_key ~fingerprint ~read_set:read_sets.(mode) ~mode rows.(mode))
-            else None)
-      in
-      let cached =
-        Array.map
-          (function
-            | Some key ->
-              let found = Memo.find ~pin:true eval_cache key in
-              (match found with
-              | Some _ -> Metrics.incr c_mode_hit
-              | None -> Metrics.incr c_mode_miss);
-              found
-            | None ->
-              Metrics.incr c_delta_mode_reuse;
-              None)
-          keys
-      in
-      let schedules =
-        Mm_obs.Probe.run p_schedule (fun () ->
-            Array.init n_modes (fun mode ->
-                if not dirty_modes.(mode) then parent.schedules.(mode)
-                else
-                  match cached.(mode) with
-                  | Some (schedule, _, _) -> schedule
-                  | None ->
-                    let mode_rec = Omsm.mode omsm mode in
-                    List_scheduler.run ~policy:config.scheduler_policy
-                      (List_scheduler.make_input ~mobility:mobilities.(mode) ~routes
-                         ~dispatch ~mode_id:mode ~graph:(Mode.graph mode_rec) ~arch
-                         ~tech ~mapping:rows.(mode)
-                         ~instances:(fun ~pe ~ty ->
-                           max 1 (Core_alloc.instances alloc ~mode ~pe ~ty))
-                         ~period:(Mode.period mode_rec) ())))
-      in
-      let scalings =
-        Mm_obs.Probe.run p_dvs (fun () ->
-            let workspace = Scaling.domain_workspace () in
-            Array.init n_modes (fun mode ->
-                if not dirty_modes.(mode) then parent.scalings.(mode)
-                else
-                  match cached.(mode) with
-                  | Some (_, scaling, _) -> scaling
-                  | None ->
-                    let graph = Mode.graph (Omsm.mode omsm mode) in
-                    scaling_of config ~workspace ~dispatch ~graph ~arch ~tech
-                      ~schedule:schedules.(mode) ()))
-      in
-      let mode_powers =
-        Mm_obs.Probe.run p_power (fun () ->
-            Array.init n_modes (fun mode ->
-                if not dirty_modes.(mode) then parent.mode_powers.(mode)
-                else
-                  match cached.(mode) with
-                  | Some (_, _, power) -> power
-                  | None ->
-                    Power.mode_power ~arch ~schedule:schedules.(mode)
-                      ~dyn_energy:scalings.(mode).Scaling.total_dyn_energy))
-      in
-      Array.iteri
-        (fun mode key ->
-          match (key, cached.(mode)) with
-          | Some key, None ->
-            Memo.add ~pin:true eval_cache key
-              (schedules.(mode), scalings.(mode), mode_powers.(mode))
-          | _ -> ())
-        keys;
-      assemble config spec mapping ~alloc ~mobilities ~schedules ~scalings
-        ~mode_powers
-    end
+    pass config spec ~parent ~dirty:dirty_modes mapping
   end
-
-let evaluate config spec genome =
-  evaluate_mapping config spec (Mapping.of_genome spec genome)
-
-let evaluate_reference config spec genome =
-  evaluate_mapping_reference config spec (Mapping.of_genome spec genome)
-
-let evaluate_delta config spec ~parent ~dirty genome =
-  evaluate_mapping_delta config spec parent ~dirty (Mapping.of_genome spec genome)

@@ -107,20 +107,11 @@ val evaluate : config -> Spec.t -> int array -> eval
     technology dispatch, and the per-mode mobility and
     (schedule, scaling, power) caches, so offspring that mutate only
     some modes answer the untouched modes from cache.  Bit-identical to
-    {!evaluate_reference} (enforced by the equivalence tests;
-    DESIGN.md §10). *)
+    the seed pipeline the test suite keeps as its oracle (DESIGN.md
+    §10). *)
 
 val evaluate_mapping : config -> Spec.t -> Mapping.t -> eval
 (** Evaluate an explicit mapping (used by examples and tests). *)
-
-val evaluate_reference : config -> Spec.t -> int array -> eval
-(** The seed pipeline — per-edge routing, balanced-tree technology
-    lookups, the reference scheduler, no caches — kept as the
-    equivalence oracle and the "before" side of the [bench eval]
-    comparison. *)
-
-val evaluate_mapping_reference : config -> Spec.t -> Mapping.t -> eval
-(** {!evaluate_reference} for an explicit mapping. *)
 
 val evaluate_delta :
   config -> Spec.t -> parent:eval -> dirty:int list -> int array -> eval
@@ -129,15 +120,27 @@ val evaluate_delta :
     (ascending; typically reported by
     [Mm_ga.Genome.point_mutate_tracked] or [Mm_ga.Genome.diff]).
     Bit-identical to {!evaluate} (enforced by the delta equivalence
-    tests): modes untouched by [dirty] reuse the parent's mobility
-    analysis and (schedule, scaling, power) triple; dirty modes run the
-    full compiled per-mode path.  Core allocation is global and always
-    recomputed; a clean mode whose granted core-instance signature moved
-    is promoted to dirty.  Falls back to the full {!evaluate} path when
-    more than half the modes end up dirty.  An over-approximate [dirty]
+    tests), and the same pass: modes untouched by [dirty] reuse the
+    parent's mobility analysis and (schedule, scaling, power) triple;
+    dirty modes run the full compiled per-mode path.  Core allocation is
+    global and always recomputed; a clean mode whose read set
+    ({!Core_alloc.read_set}) moved is promoted to dirty.  When more
+    than half the modes are dirty, before or after promotion, every
+    mode is computed as in {!evaluate}.  An over-approximate [dirty]
     set (genes listed but unchanged) is safe; an under-approximate one
     is not. *)
 
-val evaluate_mapping_delta :
-  config -> Spec.t -> eval -> dirty:int list -> Mapping.t -> eval
-(** {!evaluate_delta} for an explicit mapping. *)
+val assemble :
+  config ->
+  Spec.t ->
+  Mapping.t ->
+  alloc:Core_alloc.t ->
+  mobilities:Mm_taskgraph.Mobility.t array ->
+  schedules:Mm_sched.Schedule.t array ->
+  scalings:Mm_dvs.Scaling.t array ->
+  mode_powers:Mm_energy.Power.mode_power array ->
+  eval
+(** Everything downstream of the per-mode (schedule, scaling, power)
+    triples: timing violations, Eq. 1 powers, penalty factors and the
+    fitness.  Exported so the seed oracle of the test suite shares this
+    code byte for byte with the production pass. *)

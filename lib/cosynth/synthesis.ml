@@ -23,7 +23,6 @@ type config = {
   use_improvements : bool;
   restarts : int;
   jobs : int;
-  delta : bool;
   audit : bool;
   islands : int;
   migration_interval : int;
@@ -38,7 +37,6 @@ let default_config =
     use_improvements = true;
     restarts = 2;
     jobs = 1;
-    delta = true;
     audit = false;
     islands = 1;
     migration_interval = Islands.default_topology.Islands.migration_interval;
@@ -128,10 +126,10 @@ type progress = {
 }
 
 (* Everything that can change the synthesis trajectory for a given seed
-   goes into the fingerprint; [jobs] and [delta] are deliberately
-   absent because neither perturbs the result (see the determinism note
-   in the module doc).  Floats are printed in hex so the fingerprint
-   compares them bit-for-bit. *)
+   goes into the fingerprint; [jobs] is deliberately absent because it
+   does not perturb the result (see the determinism note in the module
+   doc).  Floats are printed in hex so the fingerprint compares them
+   bit-for-bit. *)
 let config_fingerprint config =
   let weighting =
     match config.fitness.Fitness.weighting with
@@ -376,17 +374,11 @@ let run ?(config = default_config) ?checkpoint ?resume ?yield ?pool ~spec ~seed
      shares the one read-only context. *)
   if pool <> None || use_islands then ignore (Spec.compiled spec);
   (* Delta evaluation is exact (Fitness.evaluate_delta is bit-identical
-     to Fitness.evaluate), so like [jobs] it changes wall time only,
-     never the trajectory. *)
-  let delta =
-    if config.delta then
-      Some
-        (fun ~parent ~dirty genome ->
-          let eval =
-            Fitness.evaluate_delta fitness_config spec ~parent ~dirty genome
-          in
-          (eval.Fitness.fitness, eval))
-    else None
+     to Fitness.evaluate), so it changes wall time only, never the
+     trajectory. *)
+  let delta ~parent ~dirty genome =
+    let eval = Fitness.evaluate_delta fitness_config spec ~parent ~dirty genome in
+    (eval.Fitness.fitness, eval)
   in
   let started = Sys.time () in
   let save_state sink state =
@@ -515,7 +507,7 @@ let run ?(config = default_config) ?checkpoint ?resume ?yield ?pool ~spec ~seed
                         })
             in
             let r =
-              Islands.run ~config:config.ga ~topology ?pool ?delta ?on_epoch
+              Islands.run ~config:config.ga ~topology ?pool ~delta ?on_epoch
                 ?resume:resume_islands ~rng:child_rng problem
             in
             let best = r.Islands.best in
@@ -562,7 +554,7 @@ let run ?(config = default_config) ?checkpoint ?resume ?yield ?pool ~spec ~seed
                         })
             in
             let result =
-              Engine.run ~config:config.ga ?pool ?delta ?on_generation
+              Engine.run ~config:config.ga ?pool ~delta ?on_generation
                 ?resume:resume_engine ~rng:child_rng problem
             in
             (summarize result, result.Engine.best_info)

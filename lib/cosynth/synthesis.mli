@@ -30,12 +30,6 @@ type config = {
   jobs : int;
       (** Domains evaluating each generation's offspring batch; [<= 1]
           keeps evaluation on the calling domain (default 1). *)
-  delta : bool;
-      (** Evaluate offspring through {!Fitness.evaluate_delta} when the
-          engine knows the genes they differ from their parent in
-          (default true).  Delta evaluation is bit-identical to the full
-          path, so like [jobs] it changes wall time only and is absent
-          from {!config_fingerprint}. *)
   audit : bool;
       (** Re-derive the winning evaluation's schedules, DVS math and
           penalty claims through {!Audit.check} and attach the report to

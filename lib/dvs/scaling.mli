@@ -94,9 +94,10 @@ val run :
   schedule:Mm_sched.Schedule.t ->
   unit ->
   t
-(** Flat fast path: bit-identical to {!run_reference} (property-tested in
-    [test_dvs.ml]) but built on reusable flat arrays, cached per-unit
-    durations/gradients and a binary max-heap over gradient ratios.
+(** Bit-identical to the seed implementation that the test suite keeps
+    as its oracle (property-tested in [test_dvs.ml]), but built on
+    reusable flat arrays, cached per-unit durations/gradients and a
+    binary max-heap over gradient ratios.
     Each rail's levels, delay and energy factors and next-lower level
     are tabulated once per call with the {!Mm_arch.Voltage} functions,
     so the greedy loop reads the same floats without a power law.  The
@@ -121,34 +122,13 @@ val nominal :
     directly comparable.
 
     Precondition: [schedule] is a list schedule, as
-    {!Mm_sched.List_scheduler.run} or [run_reference] produce — every
+    {!Mm_sched.List_scheduler.run} and the seed scheduler produce — every
     slot starts at the latest of its resource's previous finish and its
     data arrivals, and every task duration is positive.  The unit DAG's
     forward pass then reproduces the schedule exactly, so [nominal]
     reads finishes, energies and the deadline check straight off the
     task and communication slots in one pass, builds no DAG, and
-    returns no [hw_segments].  Bit-identical to {!nominal_reference}
+    returns no [hw_segments].  Bit-identical to the seed's DAG pass
     under the precondition (property-tested in [test_dvs.ml]); a
     hand-built schedule that delays a slot past that bound may differ.
     [dispatch] replaces the [Tech_lib.find_exn] power lookups. *)
-
-val run_reference :
-  ?config:config ->
-  graph:Mm_taskgraph.Graph.t ->
-  arch:Mm_arch.Architecture.t ->
-  tech:Mm_arch.Tech_lib.t ->
-  schedule:Mm_sched.Schedule.t ->
-  unit ->
-  t
-(** The seed implementation, kept verbatim as the bit-exactness oracle
-    for {!run} (same pattern as [List_scheduler.run_reference]): unit
-    DAG on lists, full O(units) scan per greedy step. *)
-
-val nominal_reference :
-  graph:Mm_taskgraph.Graph.t ->
-  arch:Mm_arch.Architecture.t ->
-  tech:Mm_arch.Tech_lib.t ->
-  schedule:Mm_sched.Schedule.t ->
-  unit ->
-  t
-(** {!nominal} via the reference pipeline. *)

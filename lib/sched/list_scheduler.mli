@@ -13,8 +13,8 @@
     optional compiled inputs ([mobility], [routes], [dispatch]) it also
     skips the per-run mobility recomputation, the per-edge link
     filtering and the balanced-tree technology lookups.  All of this is
-    pure plumbing: schedules are bit-identical to {!run_reference}, the
-    seed implementation (enforced by the equivalence tests; see
+    pure plumbing: schedules are bit-identical to the seed
+    implementation, which the test suite keeps as its oracle (see
     DESIGN.md §10). *)
 
 type input = {
@@ -75,12 +75,6 @@ exception Unsupported_mapping of { task : int; pe : int }
     its type in the technology library. *)
 
 val run : ?policy:policy -> input -> Schedule.t
-
-val run_reference : ?policy:policy -> input -> Schedule.t
-(** The seed implementation (per-pass edge routing, balanced-tree
-    technology lookups, O(n²) ready rescans, mobility recomputed per
-    call), kept as the equivalence oracle for {!run}.  Ignores the
-    compiled input fields. *)
 
 val exec_times : input -> float array
 (** Nominal execution time of each task under the mapping (also used by

@@ -488,7 +488,7 @@ let random_config rng =
   }
 
 let check_equivalence ?dispatch ~config ~graph ~arch ~tech ~schedule () =
-  let reference = Scaling.run_reference ~config ~graph ~arch ~tech ~schedule () in
+  let reference = Scaling_oracle.run ~config ~graph ~arch ~tech ~schedule () in
   let fast =
     Scaling.run ~config ~workspace:shared_ws ?dispatch ~graph ~arch ~tech ~schedule ()
   in
@@ -528,7 +528,7 @@ let prop_heap_matches_reference_zero_slack =
           (List_scheduler.make_input ~mode_id:0 ~graph ~arch ~tech ~mapping ~instances
              ~period:10.0 ())
       in
-      let nominal = Scaling.nominal_reference ~graph ~arch ~tech ~schedule:loose () in
+      let nominal = Scaling_oracle.nominal ~graph ~arch ~tech ~schedule:loose () in
       let makespan =
         Array.fold_left Float.max 0.0 nominal.Scaling.stretched_finish
       in
@@ -595,7 +595,7 @@ let prop_nominal_matches_reference =
              ~period:(0.01 +. Mm_util.Prng.float rng 0.3)
              ())
       in
-      let reference = Scaling.nominal_reference ~graph ~arch ~tech ~schedule:sched () in
+      let reference = Scaling_oracle.nominal ~graph ~arch ~tech ~schedule:sched () in
       results_bit_identical reference
         (Scaling.nominal ~graph ~arch ~tech ~schedule:sched ())
       && results_bit_identical reference
@@ -622,7 +622,7 @@ let prop_nominal_reference_is_the_schedule =
           ()
       in
       let matches (sched : Schedule.t) =
-        let nominal = Scaling.nominal_reference ~graph ~arch ~tech ~schedule:sched () in
+        let nominal = Scaling_oracle.nominal ~graph ~arch ~tech ~schedule:sched () in
         let finishes = Array.make (Graph.n_tasks graph) nan in
         Array.iter
           (fun (slot : Schedule.task_slot) ->
@@ -649,7 +649,7 @@ let prop_nominal_reference_is_the_schedule =
       List.for_all
         (fun policy ->
           matches (List_scheduler.run ~policy input)
-          && matches (List_scheduler.run_reference ~policy input))
+          && matches (List_scheduler_oracle.run ~policy input))
         List_scheduler.[ Mobility_first; Critical_path_first; Topological ])
 
 (* --- Property: scaling never increases energy nor breaks deadlines -------- *)

@@ -134,7 +134,7 @@ let prop_scheduler_equivalent =
                   ~instances:(fun ~pe:_ ~ty:_ -> 1)
                   ~period:(Mode.period mode_rec) ()
               in
-              let reference = List_scheduler.run_reference ~policy (input ()) in
+              let reference = List_scheduler_oracle.run ~policy (input ()) in
               let plain = List_scheduler.run ~policy (input ()) in
               let compiled =
                 List_scheduler.run ~policy
@@ -164,7 +164,7 @@ let prop_fitness_equivalent =
               let genome = random_genome rng spec in
               eval_equal
                 (Fitness.evaluate config spec genome)
-                (Fitness.evaluate_reference config spec genome))
+                (Fitness_oracle.evaluate config spec genome))
             [ 1; 2; 3 ])
         all_configs)
 
@@ -203,7 +203,7 @@ let test_mutated_genome_consistent () =
   let ctx = Spec.compiled spec in
   let mob_hits = Memo.hits (Spec.mode_mobility_cache ctx) in
   let a = Fitness.evaluate config spec mutated in
-  let b = Fitness.evaluate_reference config spec mutated in
+  let b = Fitness_oracle.evaluate config spec mutated in
   let n_modes = Omsm.n_modes (Spec.omsm spec) in
   Alcotest.(check bool) "identical to reference" true (eval_equal a b);
   Alcotest.(check bool) "untouched modes hit the mobility cache" true

@@ -433,7 +433,7 @@ let delta_case seed =
     parent := via_delta;
     current := child
   done;
-  !ok && evals_bit_identical !parent (Fitness.evaluate_reference config spec !current)
+  !ok && evals_bit_identical !parent (Fitness_oracle.evaluate config spec !current)
 
 let prop_delta_matches_full =
   QCheck.Test.make ~name:"delta ≡ full (float-bit)" ~count:(fuzz_count 500)
@@ -454,11 +454,16 @@ let genome_on spec asic_tasks =
 
 let counter name = List.assoc name (Mm_obs.Metrics.snapshot ()).Mm_obs.Metrics.counters
 
+let samples name =
+  (List.assoc name (Mm_obs.Metrics.snapshot ()).Mm_obs.Metrics.histograms).Mm_obs.Metrics.count
+
 (* Delta-evaluates the child against the parent and returns the mode-1
    read sets under both allocations and how many clean modes the delta
    path reused and how often it fell back, after checking the result
    float-bit, and its schedules structurally, against the full and the
-   reference pipelines. *)
+   reference pipelines, and checking that the one call was one pass: a
+   single evaluation span and a single core allocation, fallback or
+   not. *)
 let read_set_case ~dvs graphs ~parent ~child =
   let spec = Fixtures.spec_of_graphs graphs in
   let config =
@@ -476,8 +481,13 @@ let read_set_case ~dvs graphs ~parent ~child =
   let via_delta, reused, fallbacks =
     Fun.protect ~finally:(fun () -> Mm_obs.Control.set_metrics false) @@ fun () ->
     let reuse0 = counter "fitness/delta_mode_reuse"
-    and fallback0 = counter "fitness/delta_fallbacks" in
+    and fallback0 = counter "fitness/delta_fallbacks"
+    and evals0 = samples "fitness/eval_us"
+    and allocs0 = samples "fitness/core_alloc_us" in
     let e = Fitness.evaluate_delta config spec ~parent:parent_eval ~dirty child_genome in
+    Alcotest.(check int) "one fitness/eval_us sample" 1 (samples "fitness/eval_us" - evals0);
+    Alcotest.(check int) "one fitness/core_alloc_us sample" 1
+      (samples "fitness/core_alloc_us" - allocs0);
     (e, counter "fitness/delta_mode_reuse" - reuse0, counter "fitness/delta_fallbacks" - fallback0)
   in
   List.iter
@@ -486,7 +496,7 @@ let read_set_case ~dvs graphs ~parent ~child =
         (evals_bit_identical via_delta e && via_delta.Fitness.schedules = e.Fitness.schedules))
     [
       ("delta ≡ full", Fitness.evaluate config spec child_genome);
-      ("delta ≡ reference", Fitness.evaluate_reference config spec child_genome);
+      ("delta ≡ reference", Fitness_oracle.evaluate config spec child_genome);
     ];
   let row = (Mm_cosynth.Mapping.of_genome spec child_genome :> int array array).(1) in
   let read_set (e : Fitness.eval) =
@@ -518,8 +528,8 @@ let test_delta_promotes_mode_whose_read_set_grew () =
          (area 150) sits there too.  Mode 0 moves its C task to the GPP:
          the second B core now fits, and mode 1's tasks run in parallel
          on it — its schedule changes though its row did not.  Promoting
-         mode 1 dirties both modes of two, so the delta path falls back
-         to the full evaluation. *)
+         mode 1 dirties both modes of two, so the pass marks every mode
+         dirty and carries on — without starting a second evaluation. *)
       let before, after, reused, fallbacks =
         read_set_case ~dvs
           [ Fixtures.chain_graph (); Fixtures.parallel_graph () ]
