@@ -347,15 +347,6 @@ let pass config spec ?parent ~dirty mapping =
   let rows = (mapping : Mapping.t :> int array array) in
   let mobility_cache = Spec.mode_mobility_cache ctx in
   let eval_cache = Spec.mode_eval_cache ctx in
-  (* One evaluation touches one entry per mode in each cache.  Pinning
-     the entries it finds or inserts keeps a later mode's insertion from
-     evicting an earlier mode's — at small capacities an evaluation
-     would otherwise invalidate its own working set, so the very next
-     evaluation of the same mapping misses again. *)
-  Fun.protect ~finally:(fun () ->
-      Memo.unpin_all mobility_cache;
-      Memo.unpin_all eval_cache)
-  @@ fun () ->
   let from_parent mode = if dirty.(mode) then None else parent in
   let mobilities =
     Mm_obs.Probe.run p_mobility (fun () ->
@@ -364,14 +355,14 @@ let pass config spec ?parent ~dirty mapping =
             | Some p -> p.mobilities.(mode)
             | None -> (
               let key = mobility_key ~mode rows.(mode) in
-              match Memo.find ~pin:true mobility_cache key with
+              match Memo.find mobility_cache key with
               | Some m ->
                 Metrics.incr c_mob_hit;
                 m
               | None ->
                 Metrics.incr c_mob_miss;
                 let m = compiled_mode_mobility spec ~routes ~dispatch rows.(mode) mode in
-                Memo.add ~pin:true mobility_cache key m;
+                Memo.add mobility_cache key m;
                 m)))
   in
   let alloc =
@@ -406,7 +397,7 @@ let pass config spec ?parent ~dirty mapping =
           Metrics.incr c_delta_mode_reuse;
           Some (p.schedules.(mode), p.scalings.(mode), p.mode_powers.(mode))
         | None ->
-          let found = Memo.find ~pin:true eval_cache (key mode) in
+          let found = Memo.find eval_cache (key mode) in
           Metrics.incr (if Option.is_some found then c_mode_hit else c_mode_miss);
           found)
   in
@@ -448,7 +439,7 @@ let pass config spec ?parent ~dirty mapping =
   Array.iteri
     (fun mode triple ->
       if Option.is_none triple then
-        Memo.add ~pin:true eval_cache (key mode)
+        Memo.add eval_cache (key mode)
           (schedules.(mode), scalings.(mode), mode_powers.(mode)))
     known;
   assemble config spec mapping ~alloc ~mobilities ~schedules ~scalings ~mode_powers

@@ -10,33 +10,26 @@ type position = { mode : int; task : int }
 
 module Int_map = Map.Make (Int)
 
-(* One domain's per-mode memo caches for one specification. *)
-type domain_caches = {
-  owner : Domain.id;
-  mobility : Mm_taskgraph.Mobility.t Mm_parallel.Memo.t;
-  evals :
-    (Mm_sched.Schedule.t * Mm_dvs.Scaling.t * Mm_energy.Power.mode_power)
-    Mm_parallel.Memo.t;
-}
-
 (* Everything mapping-independent that the fitness pipeline needs per
    candidate, hoisted out of the per-evaluation path and built exactly
    once per specification (paper Fig. 4's inner loop runs thousands of
-   times per synthesis; see DESIGN.md §10).  The route table and
-   dispatch are immutable and shared freely across domains.  The
-   per-mode memo caches are one slot per domain, because [Memo.t] is
-   not thread-safe: a domain appends its slot on first use and after
-   that touches only its own.  The slots live here rather than in
-   domain-local storage, so they die with the specification.  The
-   type and area tables feed core allocation, which reads a task's type
-   id and a core's area once per task on every evaluation. *)
+   times per synthesis; see DESIGN.md §10).  Everything here is shared
+   by every domain: the tables are immutable, and the two per-mode memo
+   caches are mutex-guarded and hold values that are pure functions of
+   their keys.  The caches live here rather than in domain-local
+   storage, so they die with the specification.  The type and area
+   tables feed core allocation, which reads a task's type id and a
+   core's area once per task on every evaluation. *)
 type compiled = {
   routes : Mm_sched.Comm_mapping.table;
   dispatch : Tech_lib.dispatch;
   n_types : int;
   task_types : int array array;  (** Per mode: task -> type id. *)
   core_areas : float array;  (** [pe * n_types + ty] -> core area, 0 when absent. *)
-  caches : domain_caches list Atomic.t;
+  mobility : Mm_taskgraph.Mobility.t Mm_parallel.Memo.t;
+  evals :
+    (Mm_sched.Schedule.t * Mm_dvs.Scaling.t * Mm_energy.Power.mode_power)
+    Mm_parallel.Memo.t;
 }
 
 type t = {
@@ -95,9 +88,11 @@ let make ~omsm ~arch ~tech =
     compiled_ctx = Atomic.make None;
   }
 
-(* Capacity of each domain-local per-mode cache.  Entries are per-mode
-   (schedule, scaling, power) triples — the same order of magnitude as
-   the whole-genome eval cache's entries, which defaults to 8192. *)
+(* Capacity of each per-mode cache, in entries.  An entry a lookup just
+   touched survives the next capacity - 1 insertions, far more than the
+   domains × modes entries that concurrent evaluations touch at once;
+   an evaluation keeps its own results in local arrays anyway, so an
+   early eviction costs a recomputation, never a wrong answer. *)
 let mode_cache_capacity = 4096
 
 let compile t =
@@ -128,7 +123,8 @@ let compile t =
     n_types;
     task_types;
     core_areas;
-    caches = Atomic.make [];
+    mobility = Mm_parallel.Memo.create ~capacity:mode_cache_capacity ();
+    evals = Mm_parallel.Memo.create ~capacity:mode_cache_capacity ();
   }
 
 let compiled t =
@@ -152,29 +148,8 @@ let core_area c ~pe ~ty =
   if pe < 0 || ty < 0 || ty >= c.n_types || i >= Array.length c.core_areas then 0.0
   else c.core_areas.(i)
 
-(* Only the owning domain ever adds its slot, so a lost CAS just means
-   another domain appended first: retry on the new list. *)
-let domain_caches c =
-  let self = Domain.self () in
-  match List.find_opt (fun s -> s.owner = self) (Atomic.get c.caches) with
-  | Some s -> s
-  | None ->
-    let s =
-      {
-        owner = self;
-        mobility = Mm_parallel.Memo.create ~capacity:mode_cache_capacity ();
-        evals = Mm_parallel.Memo.create ~capacity:mode_cache_capacity ();
-      }
-    in
-    let rec publish () =
-      let slots = Atomic.get c.caches in
-      if not (Atomic.compare_and_set c.caches slots (s :: slots)) then publish ()
-    in
-    publish ();
-    s
-
-let mode_mobility_cache c = (domain_caches c).mobility
-let mode_eval_cache c = (domain_caches c).evals
+let mode_mobility_cache c = c.mobility
+let mode_eval_cache c = c.evals
 
 let omsm t = t.omsm
 let arch t = t.arch

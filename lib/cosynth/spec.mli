@@ -27,14 +27,14 @@ type compiled
     table, the per-mode task-type and per-(PE, type) core-area tables
     that core allocation reads, and the per-mode memo caches of the
     fitness pipeline — everything mapping-independent, hoisted out of
-    the per-candidate path.  The caches are one slot per domain held in
-    this record, so they become unreachable together with the
+    the per-candidate path.  Every domain shares one pair of caches held
+    in this record, so they become unreachable together with the
     specification. *)
 
 val compiled : t -> compiled
 (** The context of this specification, built on first use and memoized
-    (domain-safe: concurrent first calls race benignly on identical
-    values).  Purely an accelerator — results never depend on when or
+    (domain-safe: concurrent first calls race benignly, and every caller
+    gets the one context that won).  Purely an accelerator — results never depend on when or
     whether it was built. *)
 
 val routes : compiled -> Mm_sched.Comm_mapping.table
@@ -53,17 +53,17 @@ val core_area : compiled -> pe:int -> ty:int -> float
     the OMSM.  One array load. *)
 
 val mode_mobility_cache : compiled -> Mm_taskgraph.Mobility.t Mm_parallel.Memo.t
-(** The calling domain's per-mode mobility cache for this
-    specification, keyed by (mode, mapping row).  One per domain because
-    {!Mm_parallel.Memo} is not thread-safe; created on the domain's
-    first call and owned by the context, not by the domain. *)
+(** The per-mode mobility cache for this specification, keyed by
+    (mode, mapping row).  One per compiled context, shared by every
+    domain ({!Mm_parallel.Memo} is mutex-guarded), and collected with
+    the specification. *)
 
 val mode_eval_cache :
   compiled ->
   (Mm_sched.Schedule.t * Mm_dvs.Scaling.t * Mm_energy.Power.mode_power)
   Mm_parallel.Memo.t
-(** The calling domain's per-mode (schedule, scaling, power) cache for
-    this specification, keyed by (mode, scheduler/DVS config
+(** The per-mode (schedule, scaling, power) cache for this
+    specification, keyed by (mode, scheduler/DVS config
     fingerprint, mapping row, [Core_alloc.read_set]).  Same ownership
     as {!mode_mobility_cache}. *)
 

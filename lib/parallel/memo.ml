@@ -1,9 +1,3 @@
-(* Global cache-traffic metrics (all caches pooled; per-cache numbers
-   come from the [hits]/[misses] accessors below). *)
-let m_hits = Mm_obs.Metrics.counter "memo/hits"
-let m_misses = Mm_obs.Metrics.counter "memo/misses"
-let m_evictions = Mm_obs.Metrics.counter "memo/evictions"
-
 module Key = struct
   type t = int array
 
@@ -25,17 +19,17 @@ module H = Hashtbl.Make (Key)
 type 'v node = {
   key : int array;
   mutable value : 'v;
-  mutable pinned : bool;
   mutable prev : 'v node option;
   mutable next : 'v node option;
 }
 
+(* [lock] guards the table, the LRU list and the counters. *)
 type 'v t = {
+  lock : Mutex.t;
   table : 'v node H.t;
   cap : int;
   mutable head : 'v node option;  (* most recently used *)
   mutable tail : 'v node option;  (* least recently used *)
-  mutable pins : 'v node list;  (* nodes currently exempt from eviction *)
   mutable n_hits : int;
   mutable n_misses : int;
   mutable n_evictions : int;
@@ -44,11 +38,11 @@ type 'v t = {
 let create ~capacity () =
   if capacity < 1 then invalid_arg "Memo.create: capacity must be >= 1";
   {
+    lock = Mutex.create ();
     table = H.create (min capacity 1024);
     cap = capacity;
     head = None;
     tail = None;
-    pins = [];
     n_hits = 0;
     n_misses = 0;
     n_evictions = 0;
@@ -65,77 +59,39 @@ let push_front t node =
   (match t.head with Some h -> h.prev <- Some node | None -> t.tail <- Some node);
   t.head <- Some node
 
-let pin_node t node =
-  if not node.pinned then begin
-    node.pinned <- true;
-    t.pins <- node :: t.pins
-  end
-
-let find ?(pin = false) t key =
+let find t key =
+  Mutex.protect t.lock @@ fun () ->
   match H.find_opt t.table key with
   | Some node ->
     t.n_hits <- t.n_hits + 1;
-    Mm_obs.Metrics.incr m_hits;
     unlink t node;
     push_front t node;
-    if pin then pin_node t node;
     Some node.value
   | None ->
     t.n_misses <- t.n_misses + 1;
-    Mm_obs.Metrics.incr m_misses;
     None
 
-(* Evict the least-recently-used unpinned entry, scanning from the tail:
-   a pinned entry is in active use by the current batch, and evicting it
-   would force the in-flight computation that just inserted (or looked
-   it up) to be redone.  Returns false when every entry is pinned, in
-   which case the cache temporarily overflows its capacity until
-   [unpin_all]. *)
-let evict_one t =
-  let rec scan = function
-    | None -> false
-    | Some node when node.pinned -> scan node.prev
-    | Some node ->
-      unlink t node;
-      H.remove t.table node.key;
-      t.n_evictions <- t.n_evictions + 1;
-      Mm_obs.Metrics.incr m_evictions;
-      true
-  in
-  scan t.tail
-
-let trim t =
-  let evictable = ref true in
-  while H.length t.table > t.cap && !evictable do
-    evictable := evict_one t
-  done
-
-let add ?(pin = false) t key value =
-  (match H.find_opt t.table key with
+let add t key value =
+  Mutex.protect t.lock @@ fun () ->
+  match H.find_opt t.table key with
   | Some node ->
     node.value <- value;
     unlink t node;
-    push_front t node;
-    if pin then pin_node t node
-  | None ->
-    let node =
-      { key = Array.copy key; value; pinned = false; prev = None; next = None }
-    in
+    push_front t node
+  | None -> (
+    let node = { key = Array.copy key; value; prev = None; next = None } in
     H.replace t.table node.key node;
     push_front t node;
-    if pin then pin_node t node);
-  if H.length t.table > t.cap then trim t
+    if H.length t.table > t.cap then
+      match t.tail with
+      | Some lru ->
+        unlink t lru;
+        H.remove t.table lru.key;
+        t.n_evictions <- t.n_evictions + 1
+      | None -> ())
 
-let unpin_all t =
-  List.iter (fun node -> node.pinned <- false) t.pins;
-  t.pins <- [];
-  trim t
-
-let pinned t = List.length t.pins
-
-let mem t key = H.mem t.table key
-
-let length t = H.length t.table
+let mem t key = Mutex.protect t.lock (fun () -> H.mem t.table key)
+let length t = Mutex.protect t.lock (fun () -> H.length t.table)
 let capacity t = t.cap
 let hits t = t.n_hits
 let misses t = t.n_misses

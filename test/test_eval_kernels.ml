@@ -8,6 +8,7 @@
 
 module Spec = Mm_cosynth.Spec
 module Fitness = Mm_cosynth.Fitness
+module Synthesis = Mm_cosynth.Synthesis
 module Mapping = Mm_cosynth.Mapping
 module Omsm = Mm_omsm.Omsm
 module Mode = Mm_omsm.Mode
@@ -213,7 +214,8 @@ let test_mutated_genome_consistent () =
    domains that filled them: a long-lived daemon evaluates a freshly
    parsed spec per job, so once a spec is dropped every domain's caches
    must become collectable.  Evaluates serially and through the pool,
-   and returns only weak pointers to the caches each domain used. *)
+   checks that every domain used the one cache of the spec, and returns
+   only a weak pointer to it. *)
 let[@inline never] evaluate_and_forget pool =
   let spec = Mm_io.Codec.spec_of_string (Mm_io.Codec.spec_to_string (spec_of_seed 44)) in
   let rng = Prng.create ~seed:5 in
@@ -226,6 +228,7 @@ let[@inline never] evaluate_and_forget pool =
   let distinct =
     Array.fold_left (fun acc c -> if List.memq c acc then acc else c :: acc) [] used
   in
+  Alcotest.(check int) "one cache shared by every domain" 1 (List.length distinct);
   let weak = Weak.create (List.length distinct) in
   List.iteri (fun i c -> Weak.set weak i (Some c)) distinct;
   weak
@@ -242,6 +245,46 @@ let test_caches_die_with_spec () =
       Alcotest.failf "per-mode cache %d of %d outlived its spec" (i + 1)
         (Weak.length weak)
   done
+
+let counter name = List.assoc name (Mm_obs.Metrics.snapshot ()).Mm_obs.Metrics.counters
+
+(* Every domain hits on modes any domain computed, so a pooled run
+   misses the per-mode cache as often as the serial run of the same
+   trajectory, up to two domains racing on one key. *)
+let test_pooled_run_shares_mode_cache () =
+  let config ~jobs =
+    {
+      Synthesis.default_config with
+      fitness = { Fitness.default_config with dvs = Fitness.Dvs Scaling.default_config };
+      ga =
+        {
+          Mm_ga.Engine.default_config with
+          population_size = 16;
+          max_generations = 12;
+          stagnation_limit = 100;
+        };
+      restarts = 1;
+      jobs;
+    }
+  in
+  let run ~jobs =
+    (* A fresh spec per run, so both runs start with cold caches. *)
+    let spec = Random_system.mul 6 in
+    Mm_obs.Control.set_metrics true;
+    Fun.protect ~finally:(fun () -> Mm_obs.Control.set_metrics false) @@ fun () ->
+    let misses0 = counter "fitness/mode_cache_misses" in
+    let result = Synthesis.run ~config:(config ~jobs) ~spec ~seed:3 () in
+    (result, counter "fitness/mode_cache_misses" - misses0)
+  in
+  let serial, serial_misses = run ~jobs:1 in
+  let pooled, pooled_misses = run ~jobs:2 in
+  Alcotest.(check bool) "identical result" true
+    (eval_equal serial.Synthesis.eval pooled.Synthesis.eval
+    && serial.Synthesis.genome = pooled.Synthesis.genome);
+  Alcotest.(check bool) "serial run misses" true (serial_misses > 0);
+  if 100 * abs (pooled_misses - serial_misses) > serial_misses then
+    Alcotest.failf "mode-cache misses: %d at jobs 2 against %d at jobs 1 (over 1 %%)"
+      pooled_misses serial_misses
 
 let () =
   Alcotest.run "mm_eval_kernels"
@@ -261,5 +304,7 @@ let () =
             test_mutated_genome_consistent;
           Alcotest.test_case "caches die with their spec" `Quick
             test_caches_die_with_spec;
+          Alcotest.test_case "pooled run shares the mode cache" `Quick
+            test_pooled_run_shares_mode_cache;
         ] );
     ]

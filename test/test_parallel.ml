@@ -245,47 +245,54 @@ let test_memo_clear () =
   Alcotest.(check (option int)) "gone" None (Memo.find cache [| 1 |]);
   Alcotest.(check int) "miss counted" 1 (Memo.misses cache)
 
-let test_memo_pinned_entry_survives_eviction () =
-  let cache = Memo.create ~capacity:2 () in
-  Memo.add ~pin:true cache [| 1 |] 1;
-  Memo.add cache [| 2 |] 2;
-  Memo.add cache [| 3 |] 3;
-  (* [|1|] is the LRU entry but pinned; [|2|] must go instead. *)
-  Alcotest.(check bool) "pinned survives" true (Memo.mem cache [| 1 |]);
-  Alcotest.(check bool) "unpinned LRU evicted" false (Memo.mem cache [| 2 |]);
-  Alcotest.(check int) "one pin" 1 (Memo.pinned cache);
-  Memo.unpin_all cache;
-  Alcotest.(check int) "pins released" 0 (Memo.pinned cache);
-  Memo.add cache [| 4 |] 4;
-  Alcotest.(check bool) "unpinned entry evictable again" false (Memo.mem cache [| 1 |])
+let test_memo_recent_lookups_survive () =
+  (* The entries of the last [n] lookups sit at the front of the LRU
+     list, so they outlive [capacity - n] further insertions: one
+     evaluation's working set is not evicted by the insertions of the
+     evaluations running beside it. *)
+  let capacity = 8 and n = 3 in
+  let cache = Memo.create ~capacity () in
+  for k = 1 to capacity do
+    Memo.add cache [| k |] k
+  done;
+  (* Touch the oldest entries so that they become the most recent. *)
+  for k = 1 to n do
+    ignore (Memo.find cache [| k |])
+  done;
+  for k = capacity + 1 to (2 * capacity) - n do
+    Memo.add cache [| k |] k
+  done;
+  for k = 1 to n do
+    Alcotest.(check bool) (Printf.sprintf "looked-up %d survives" k) true
+      (Memo.mem cache [| k |])
+  done;
+  Alcotest.(check bool) "untouched entry evicted" false (Memo.mem cache [| n + 1 |]);
+  Memo.add cache [| 2 * capacity |] 0;
+  Alcotest.(check bool) "one more insertion evicts the oldest lookup" false
+    (Memo.mem cache [| 1 |])
 
-let test_memo_pin_on_lookup () =
-  (* The batch evaluator pins its working set as it looks entries up; a
-     pinned hit must survive even once younger entries push it to the
-     LRU position. *)
-  let cache = Memo.create ~capacity:2 () in
-  Memo.add cache [| 1 |] 1;
-  Memo.add cache [| 2 |] 2;
-  Alcotest.(check (option int)) "pinning hit" (Some 1) (Memo.find ~pin:true cache [| 1 |]);
-  Memo.add cache [| 3 |] 3;  (* evicts [|2|], the unpinned LRU *)
-  Memo.add cache [| 4 |] 4;  (* [|1|] is now LRU but pinned: [|3|] goes *)
-  Alcotest.(check bool) "pinned lookup survives" true (Memo.mem cache [| 1 |]);
-  Alcotest.(check bool) "younger unpinned evicted" false (Memo.mem cache [| 3 |]);
-  Alcotest.(check bool) "newest present" true (Memo.mem cache [| 4 |])
-
-let test_memo_pins_may_overflow_capacity () =
-  (* With every entry pinned nothing is evictable: the cache is allowed
-     to exceed its capacity until the pins are released, and unpin_all
-     trims it back. *)
-  let cache = Memo.create ~capacity:2 () in
-  Memo.add ~pin:true cache [| 1 |] 1;
-  Memo.add ~pin:true cache [| 2 |] 2;
-  Memo.add ~pin:true cache [| 3 |] 3;
-  Alcotest.(check int) "temporarily over capacity" 3 (Memo.length cache);
-  Alcotest.(check int) "no forced eviction" 0 (Memo.evictions cache);
-  Memo.unpin_all cache;
-  Alcotest.(check int) "trimmed back to capacity" 2 (Memo.length cache);
-  Alcotest.(check bool) "newest kept after trim" true (Memo.mem cache [| 3 |])
+let test_memo_shared_across_domains () =
+  (* One small cache driven from both domains of a pool, with keys that
+     overlap across domains and value = f(key): every hit must return
+     f(key), the LRU bound must hold, and no lookup may be lost from the
+     counters. *)
+  let f k = (k * 7919) + 13 in
+  let cache = Memo.create ~capacity:8 () in
+  let n_items = 4000 in
+  let wrong = Atomic.make 0 in
+  with_pool ~domains:2 (fun pool ->
+      ignore
+        (Pool.map pool
+           (fun i ->
+             let k = (i * 31) mod 23 in
+             let key = [| k; k + 1 |] in
+             match Memo.find cache key with
+             | Some v -> if v <> f k then Atomic.incr wrong
+             | None -> Memo.add cache key (f k))
+           (Array.init n_items Fun.id)));
+  Alcotest.(check int) "every hit is f(key)" 0 (Atomic.get wrong);
+  Alcotest.(check bool) "bounded" true (Memo.length cache <= Memo.capacity cache);
+  Alcotest.(check int) "hits + misses = finds" n_items (Memo.hits cache + Memo.misses cache)
 
 let test_pool_wait_split_stats () =
   (* The conflated wait metric is gone: queue wait (parked between
@@ -366,11 +373,10 @@ let () =
           Alcotest.test_case "keys copied" `Quick test_memo_does_not_alias_keys;
           Alcotest.test_case "capacity one" `Quick test_memo_capacity_one;
           Alcotest.test_case "clear" `Quick test_memo_clear;
-          Alcotest.test_case "pinned entry survives eviction" `Quick
-            test_memo_pinned_entry_survives_eviction;
-          Alcotest.test_case "pin on lookup" `Quick test_memo_pin_on_lookup;
-          Alcotest.test_case "pins may overflow capacity" `Quick
-            test_memo_pins_may_overflow_capacity;
+          Alcotest.test_case "recent lookups survive" `Quick
+            test_memo_recent_lookups_survive;
+          Alcotest.test_case "shared across domains" `Quick
+            test_memo_shared_across_domains;
           QCheck_alcotest.to_alcotest prop_memo_model;
         ] );
     ]
