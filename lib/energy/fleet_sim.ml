@@ -176,41 +176,77 @@ let device_holding sim model rng =
       sim.base_holding
   | Dirichlet _ | Mixture _ -> holding_of_psi sim (sample_psi model ~base:sim.base_psi rng)
 
+(* SplitMix64, stepped on a bare word: [Prng.bits64] is [mix64] of the
+   word after one Weyl step, and [unit_of] is the [\[0, 1)] draw that
+   [Prng.float] and [Prng.int] both take from its top 53 bits.  These
+   are copies, not calls, and must match [Prng] bit for bit: dune's
+   dev profile compiles with [-opaque], so no call into [Prng] is
+   inlined, and each one boxes the stored word, [bits64]'s result and
+   the returned float (8 words a draw; DESIGN.md §16 has the
+   measurements).  The differential tests in [test_fleet.ml] hold the
+   copies equal to [Prng]. *)
+let golden_gamma = 0x9E3779B97F4A7C15L
+
+let[@inline] mix64 z =
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
+  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
+  Int64.logxor z (Int64.shift_right_logical z 31)
+
+let[@inline] unit_of word =
+  Int64.to_float (Int64.shift_right_logical (mix64 word) 11) /. 9007199254740992.0
+
 (* The walk is a float-for-float transliteration of
    [Trace_sim.simulate]'s inner loop (same exponential expression, same
-   accumulation order, [Prng.int] over the precompiled destination array
-   standing in for [Prng.pick] over the filtered transition list), so a
-   point-model device with stream 0 reproduces the oracle bit-for-bit —
-   the differential test in [test_fleet.ml] holds this. *)
+   accumulation order, a [Prng.int] draw over the precompiled
+   destination array standing in for [Prng.pick] over the filtered
+   transition list), so a point-model device with stream 0 reproduces
+   the oracle bit-for-bit and leaves the generator in the oracle's
+   state.  It is one [while] loop over local refs that no closure
+   captures, so mode, clock, energy and the generator word stay
+   unboxed: a point-model step allocates nothing.  The word is read
+   once from [rng] and written back once at the end. *)
 let simulate_device ?on_segment sim ~model ~horizon rng =
   if horizon <= 0.0 then invalid_arg "Fleet_sim.simulate_device: non-positive horizon";
   let holding = device_holding sim model rng in
+  let word = ref (Prng.state rng) in
+  let mode = ref sim.start in
+  let now = ref 0.0 in
   let energy = ref 0.0 in
   let transitions = ref 0 in
-  let emit mode enter leave =
-    match on_segment with Some f -> f ~mode ~enter ~leave | None -> ()
-  in
-  let rec walk mode now =
-    let dwell = -.holding.(mode) *. log (Float.max 1e-300 (1.0 -. Prng.float rng 1.0)) in
-    let leave = Float.min horizon (now +. dwell) in
-    let duration = leave -. now in
-    energy := !energy +. (sim.power.(mode) *. duration);
-    emit mode now leave;
+  let walking = ref true in
+  while !walking do
+    let m = !mode and enter = !now in
+    (* [Prng.float rng 1.0]. *)
+    word := Int64.add !word golden_gamma;
+    let u = unit_of !word *. 1.0 in
+    let dwell = -.holding.(m) *. log (Float.max 1e-300 (1.0 -. u)) in
+    let leave = Float.min horizon (enter +. dwell) in
+    let duration = leave -. enter in
+    energy := !energy +. (sim.power.(m) *. duration);
+    (match on_segment with Some f -> f ~mode:m ~enter ~leave | None -> ());
     if leave < horizon then begin
-      let dsts = sim.dsts.(mode) in
+      let dsts = sim.dsts.(m) in
       let k = Array.length dsts in
       if k = 0 then begin
         (* Absorbing: finish the horizon here. *)
-        energy := !energy +. (sim.power.(mode) *. (horizon -. leave));
-        emit mode leave horizon
+        energy := !energy +. (sim.power.(m) *. (horizon -. leave));
+        (match on_segment with
+        | Some f -> f ~mode:m ~enter:leave ~leave:horizon
+        | None -> ());
+        walking := false
       end
       else begin
         incr transitions;
-        walk dsts.(Prng.int rng k) leave
+        (* [Prng.int rng k], clamp included. *)
+        word := Int64.add !word golden_gamma;
+        let v = int_of_float (unit_of !word *. float_of_int k) in
+        mode := dsts.(if v >= k then k - 1 else v);
+        now := leave
       end
     end
-  in
-  walk sim.start 0.0;
+    else walking := false
+  done;
+  Prng.set_state rng !word;
   (!energy /. horizon, !transitions)
 
 (* --- Fleet runs --------------------------------------------------------- *)

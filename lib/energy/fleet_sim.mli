@@ -17,9 +17,12 @@
       {!Battery.lifetime_hours} — not just the Eq. 1 average.
 
     The inner walk is a float-for-float transliteration of
-    {!Trace_sim.simulate}: a 1-device point-model fleet is segment-for-
-    segment and bit-for-bit identical to the oracle (held by the
-    differential tests in [test_fleet.ml]). *)
+    {!Trace_sim.simulate}, written as one allocation-free loop that
+    steps the device's SplitMix64 word in a local with
+    {!Mm_util.Prng.bits64}'s arithmetic: a 1-device point-model fleet
+    is segment-for-segment and bit-for-bit identical to the oracle and
+    leaves the generator in the oracle's state (held by the differential
+    tests in [test_fleet.ml]). *)
 
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -89,8 +92,11 @@ val simulate_device :
 (** One device walk; returns (empirical average power, transition
     count).  [on_segment] observes the chronological visit log —
     segment-for-segment identical to {!Trace_sim.simulate}'s [segments]
-    under the point model with the same generator.  Raises
-    [Invalid_argument] on a non-positive horizon. *)
+    under the point model with the same generator.  The generator ends
+    where the equivalent {!Mm_util.Prng.float}/{!Mm_util.Prng.int}
+    calls would leave it.  Without [on_segment], a point-model walk
+    allocates nothing per transition.  Raises [Invalid_argument] on a
+    non-positive horizon. *)
 
 (** {1 Fleet runs} *)
 

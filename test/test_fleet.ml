@@ -2,10 +2,15 @@
    JSON export (ISSUE 9).
 
    The load-bearing properties, each held by a fuzz or bit-level check:
-   - a 1-device point-model fleet is segment-for-segment and float-bit
-     identical to the seed oracle [Trace_sim.simulate];
+   - a 1-device point-model or holding-jitter fleet is segment-for-
+     segment and float-bit identical to the seed oracle
+     [Trace_sim.simulate], and leaves its generator in the oracle's
+     state (the walk steps SplitMix64 inline, so this is what holds the
+     copy equal to [Prng]);
+   - a point-model walk allocates nothing per transition;
    - the fleet mean power converges to the analytic Eq. (1) figure;
-   - every report bit is invariant under --jobs and --batch;
+   - every report bit is invariant under --jobs and --batch, and the
+     smartphone anchor's report is pinned by digest;
    - export-json → parse → re-emit is byte-identical, and the exporter
      never raises on a synthesizable benchmark. *)
 
@@ -60,25 +65,62 @@ let two_mode () =
   let spec = two_mode_spec () in
   (Spec.omsm spec, mode_powers_for spec [| 1e-3; 2e-3 |])
 
+(* Hand-set per-mode powers: the walk only reads [Power.total]. *)
+let flat_powers watts =
+  Array.mapi
+    (fun mode_id dyn_power ->
+      {
+        Power.mode_id;
+        dyn_power;
+        static_power = 0.0;
+        active_pes = [];
+        active_cls = [];
+        shut_down_pes = [];
+        shut_down_cls = [];
+      })
+    watts
+
+(* The smartphone OMSM: out-degrees 1, 4, 3, 1, 2, 2, 2, 1, so unlike
+   [two_mode] its walk really picks among destinations. *)
+let smartphone () =
+  let omsm = Spec.omsm (Mm_benchgen.Smartphone.spec ()) in
+  let n = Mm_omsm.Omsm.n_modes omsm in
+  (omsm, flat_powers (Array.init n (fun i -> 1e-3 *. float_of_int (i + 1))))
+
 (* --- Differential: 1 device ≡ Trace_sim --------------------------------------- *)
 
 (* Device 0's stream is the run seed's own state (Prng.stream _ 0), so
    the fleet kernel must replay the oracle walk exactly: same segments,
-   same transition count, same float-bit empirical power. *)
-let one_device_case ~omsm ~mode_powers ~horizon seed =
-  let oracle = Trace_sim.simulate ~omsm ~mode_powers ~horizon (Prng.create ~seed) in
+   same transition count, same float-bit empirical power, and the same
+   generator state afterwards.  Given [sigma] the device runs
+   [Holding_jitter]: the test draws the jittered holding times itself,
+   with [device_holding]'s formula on the oracle's copy of the
+   generator, and hands them to the oracle. *)
+let one_device_case ?sigma ~omsm ~mode_powers ~horizon seed =
+  let oracle_rng = Prng.create ~seed in
+  let model, holding_times =
+    match sigma with
+    | None -> (Fleet_sim.Point, None)
+    | Some sigma ->
+      ( Fleet_sim.Holding_jitter { sigma },
+        Some
+          (Array.map
+             (fun h ->
+               h *. exp ((sigma *. Prng.gaussian oracle_rng) -. (0.5 *. sigma *. sigma)))
+             (Trace_sim.holding_times_for omsm)) )
+  in
+  let oracle = Trace_sim.simulate ?holding_times ~omsm ~mode_powers ~horizon oracle_rng in
   let sim = Fleet_sim.compile ~omsm ~mode_powers in
   let segments = ref [] in
   let on_segment ~mode ~enter ~leave =
     segments := { Trace_sim.mode; enter; leave } :: !segments
   in
-  let power, transitions =
-    Fleet_sim.simulate_device ~on_segment sim ~model:Fleet_sim.Point ~horizon
-      (Prng.stream (Prng.create ~seed) 0)
-  in
+  let rng = Prng.stream (Prng.create ~seed) 0 in
+  let power, transitions = Fleet_sim.simulate_device ~on_segment sim ~model ~horizon rng in
   let segments = List.rev !segments in
   bits power = bits oracle.Trace_sim.empirical_power
   && transitions = oracle.Trace_sim.n_transitions
+  && Int64.equal (Prng.state rng) (Prng.state oracle_rng)
   && List.length segments = List.length oracle.Trace_sim.segments
   && List.for_all2
        (fun (a : Trace_sim.segment) (b : Trace_sim.segment) ->
@@ -92,6 +134,24 @@ let prop_one_device_matches_trace_sim =
   QCheck.Test.make ~name:"1-device fleet ≡ Trace_sim (segments, float-bit)"
     ~count:(fuzz_count 200) QCheck.small_int (fun seed ->
       one_device_case ~omsm ~mode_powers ~horizon:200.0 seed)
+
+let test_smartphone_out_degrees () =
+  let omsm, _ = smartphone () in
+  Alcotest.(check (list int)) "out-degree per mode" [ 1; 4; 3; 1; 2; 2; 2; 1 ]
+    (List.init (Mm_omsm.Omsm.n_modes omsm) (fun mode ->
+         List.length
+           (List.filter
+              (fun tr -> Mm_omsm.Transition.src tr = mode)
+              (Mm_omsm.Omsm.transitions omsm))))
+
+let prop_smartphone_matches_trace_sim =
+  let omsm, mode_powers = smartphone () in
+  let sigmas = [| None; Some 0.0; Some 0.3 |] in
+  QCheck.Test.make ~name:"smartphone 1-device fleet ≡ Trace_sim (picks, jitter)"
+    ~count:(fuzz_count 300)
+    QCheck.(pair small_int (int_bound 2))
+    (fun (seed, s) ->
+      one_device_case ?sigma:sigmas.(s) ~omsm ~mode_powers ~horizon:1000.0 seed)
 
 let test_one_device_absorbing () =
   (* A single-mode system absorbs the whole horizon: the double-
@@ -195,6 +255,50 @@ let test_jobs_batch_bit_invariance () =
     (fun () -> check_same "pooled, batch 64" reference (run ~pool ~batch:64 ()));
   (* Same seed, fresh run: the report is a pure function of its inputs. *)
   check_same "replay" reference (run ())
+
+(* Golden pin: the smartphone greedy-timing anchor (the benchmark's
+   fleet design), 2,000 devices, horizon 1000, seed 1000.  The digests
+   come from a walk that called [Prng] directly; any change to the
+   walk's arithmetic or draw order moves them. *)
+let test_golden_report () =
+  let spec = Mm_benchgen.Smartphone.spec () in
+  let anchor = Option.get (Synthesis.greedy_timing_anchor spec) in
+  let mode_powers =
+    (Fitness.evaluate Fitness.default_config spec anchor).Fitness.mode_powers
+  in
+  List.iter
+    (fun (model, digest) ->
+      let fleet =
+        Fleet_sim.run ~model ~horizon:1000.0 ~devices:2_000 ~omsm:(Spec.omsm spec)
+          ~mode_powers ~seed:1000 ()
+      in
+      Alcotest.(check string)
+        (Fleet_sim.model_to_string model)
+        digest
+        (Digest.to_hex (Digest.string (Fleet_sim.to_json fleet))))
+    [
+      (Fleet_sim.Point, "5468b834baaac2de96bc95a2c82b9eed");
+      (Fleet_sim.Dirichlet { concentration = 50. }, "1065b6d42747845f0fc5a52e81a75ef6");
+    ]
+
+(* The walk's state lives in unboxed locals, so a point-model device
+   allocates nothing per transition; a walk that calls [Prng.float] and
+   [Prng.int] boxes about 18 words per transition. *)
+let test_point_walk_allocation () =
+  let omsm, mode_powers = smartphone () in
+  let sim = Fleet_sim.compile ~omsm ~mode_powers in
+  let rng = Prng.create ~seed:5 in
+  let walk () =
+    Fleet_sim.simulate_device sim ~model:Fleet_sim.Point ~horizon:100_000.0 rng
+  in
+  ignore (walk ());
+  let before = Gc.minor_words () in
+  let _, transitions = walk () in
+  let per_transition = (Gc.minor_words () -. before) /. float_of_int transitions in
+  Alcotest.(check bool) "at least 10,000 transitions" true (transitions >= 10_000);
+  Alcotest.(check bool)
+    (Printf.sprintf "%.4f minor words per transition < 1" per_transition)
+    true (per_transition < 1.0)
 
 let test_report_shape () =
   let omsm, mode_powers = two_mode () in
@@ -399,6 +503,9 @@ let () =
           Alcotest.test_case "absorbing mode" `Quick test_one_device_absorbing;
           Alcotest.test_case "run ≡ kernel for device 0" `Quick
             test_run_one_device_matches_kernel;
+          Alcotest.test_case "smartphone out-degrees" `Quick test_smartphone_out_degrees;
+          QCheck_alcotest.to_alcotest prop_smartphone_matches_trace_sim;
+          Alcotest.test_case "point walk allocation" `Quick test_point_walk_allocation;
         ] );
       ( "distribution",
         [
@@ -410,6 +517,7 @@ let () =
         [
           Alcotest.test_case "bit-invariant under jobs and batch" `Quick
             test_jobs_batch_bit_invariance;
+          Alcotest.test_case "golden report digests" `Quick test_golden_report;
           Alcotest.test_case "report shape" `Quick test_report_shape;
         ] );
       ( "usage models",
