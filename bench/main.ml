@@ -114,6 +114,9 @@ let comparison_columns =
     "Reduc. (%)";
   ]
 
+let comparison_config ~ga ~dvs =
+  { Synthesis.default_config with ga; fitness = { Fitness.default_config with dvs } }
+
 let mul_comparisons ~options ~dvs ~runs_default =
   let runs = Option.value ~default:runs_default options.runs in
   let ga = ga_config options in
@@ -121,7 +124,8 @@ let mul_comparisons ~options ~dvs ~runs_default =
       let i = k + 1 in
       let spec = Random_system.mul i in
       let label = Printf.sprintf "mul%d (%d)" i (Random_system.mul_mode_count i) in
-      let comparison = Experiment.compare ~ga ~dvs ~spec ~runs ~seed:(1000 * i) () in
+      let config = comparison_config ~ga ~dvs in
+      let comparison = Experiment.compare ~config ~spec ~runs ~seed:(1000 * i) () in
       Format.printf "  %s done@?@." label;
       (label, comparison))
 
@@ -165,11 +169,12 @@ let table3 options =
       }
   in
   let spec = Smartphone.spec () in
-  let no_dvs = Experiment.compare ~ga ~dvs:Fitness.No_dvs ~spec ~runs ~seed:42 () in
-  Format.printf "  w/o DVS done@?@.";
-  let with_dvs =
-    Experiment.compare ~ga ~dvs:(Fitness.Dvs Scaling.default_config) ~spec ~runs ~seed:42 ()
+  let compare dvs =
+    Experiment.compare ~config:(comparison_config ~ga ~dvs) ~spec ~runs ~seed:42 ()
   in
+  let no_dvs = compare Fitness.No_dvs in
+  Format.printf "  w/o DVS done@?@.";
+  let with_dvs = compare (Fitness.Dvs Scaling.default_config) in
   Format.printf "  with DVS done@?@.";
   let t =
     Table.create ~title:"Table 3 (paper: 30.76 % w/o DVS, 29.41 % with DVS, ~67 % overall)"

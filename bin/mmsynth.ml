@@ -498,22 +498,10 @@ let robust_objective_arg =
            equivalent to the expected battery lifetime) or $(b,p<q>) (worst-case \
            q-th lifetime percentile, e.g. $(b,p10)).")
 
-let robust_of ~robust ~robust_samples ~robust_objective =
-  Option.map
-    (fun model ->
-      {
-        Synthesis.model;
-        samples = robust_samples;
-        objective = robust_objective;
-        battery = Mm_energy.Battery.phone_cell;
-      })
-    robust
-
 (* Flip the observability switches requested on the command line, run the
    subcommand body, then flush the sinks and write the metrics file.
-   Unwritable paths surface as ordinary CLI errors, not crashes.  Shared
-   by the subcommands that run a synthesis. *)
-let with_obs ~trace ~trace_jsonl ~trace_fine ~metrics ~log_level f =
+   Unwritable paths surface as ordinary CLI errors, not crashes. *)
+let with_obs trace trace_jsonl trace_fine metrics log_level f =
   let finish () =
     Mm_obs.Trace.close ();
     match metrics with
@@ -540,62 +528,124 @@ let with_obs ~trace ~trace_jsonl ~trace_fine ~metrics ~log_level f =
     Error (`Msg message)
   | exception Fun.Finally_raised (Sys_error message) -> Error (`Msg message)
 
-let config_of ?(jobs = 1) ?(audit = false)
-    ?(islands = Synthesis.default_config.Synthesis.islands)
-    ?(migration_interval = Synthesis.default_config.Synthesis.migration_interval)
-    ?(migration_count = Synthesis.default_config.Synthesis.migration_count)
-    ?(robust = Synthesis.default_config.Synthesis.robust) ~dvs ~uniform ~generations
-    ~population () =
-  {
-    Synthesis.default_config with
-    audit;
-    islands;
-    migration_interval;
-    migration_count;
-    robust;
-    fitness =
-      {
-        Fitness.default_config with
-        weighting = (if uniform then Fitness.Uniform else Fitness.True_probabilities);
-        dvs =
-          (if dvs then Fitness.Dvs Mm_dvs.Scaling.default_config else Fitness.No_dvs);
-      };
-    ga =
-      {
-        Engine.default_config with
-        max_generations = generations;
-        population_size = population;
-      };
-    jobs;
-  }
-
 (* Synthesis done: Monte Carlo the device fleet against the winning
    implementation, print the distribution, optionally persist the JSON
    report.  The fleet's own domains come from --jobs; percentiles are
-   bit-identical at any job count. *)
-let run_fleet ?report_path ~jobs ~devices ~batch ~usage ~horizon ~fleet_seed spec
+   bit-identical at any job count.  The fleet seed defaults to the
+   synthesis seed + 1. *)
+let run_fleet devices usage batch fleet_seed horizon ~jobs ~seed ~report spec
     (result : Synthesis.result) =
   let omsm = Spec.omsm spec in
   let mode_powers = result.Synthesis.eval.Fitness.mode_powers in
-  let pool =
-    if jobs > 1 then Some (Mm_parallel.Pool.create ~domains:jobs ()) else None
-  in
-  let fleet =
-    Fun.protect
-      ~finally:(fun () -> Option.iter Mm_parallel.Pool.shutdown pool)
-      (fun () ->
-        Mm_energy.Fleet_sim.run ?pool ~batch ~model:usage ~horizon ~devices ~omsm
-          ~mode_powers ~seed:fleet_seed ())
-  in
-  Report.print_fleet fleet;
-  Option.iter
-    (fun path ->
-      let oc = open_out path in
-      output_string oc (Mm_energy.Fleet_sim.to_json fleet);
-      output_char oc '\n';
-      close_out oc;
-      Format.printf "fleet report written to %s@." path)
-    report_path
+  let seed = Option.value fleet_seed ~default:(seed + 1) in
+  match
+    let pool =
+      if jobs > 1 then Some (Mm_parallel.Pool.create ~domains:jobs ()) else None
+    in
+    let fleet =
+      Fun.protect
+        ~finally:(fun () -> Option.iter Mm_parallel.Pool.shutdown pool)
+        (fun () ->
+          Mm_energy.Fleet_sim.run ?pool ~batch ~model:usage ~horizon ~devices ~omsm
+            ~mode_powers ~seed ())
+    in
+    Report.print_fleet fleet;
+    Option.iter
+      (fun path ->
+        let oc = open_out path in
+        output_string oc (Mm_energy.Fleet_sim.to_json fleet);
+        output_char oc '\n';
+        close_out oc;
+        Format.printf "fleet report written to %s@." path)
+      report
+  with
+  | () -> Ok ()
+  | exception Invalid_argument message -> Error (`Msg message)
+  | exception Sys_error message -> Error (`Msg message)
+
+(* --- shared terms: run configuration, observability, fleet ------------------- *)
+
+(* A verb's [Synthesis.config] is one term: the search flags it offers,
+   mapped by [Synthesis.config_of_flags] (the mapping the daemon's job
+   options go through too), with a flag the verb lacks held at its
+   default; then whichever option groups the verb takes, each a
+   [config -> config] term layered on with [+>]. *)
+let search_config ~uniform ~generations ~population =
+  Term.(
+    const (fun dvs uniform generations population ->
+        Synthesis.config_of_flags ~dvs ~uniform ~generations ~population)
+    $ dvs_arg $ uniform $ generations $ population)
+
+(* --dvs, --neglect-probabilities, --generations, --population. *)
+let config_term =
+  search_config ~uniform:uniform_arg ~generations:generations_arg
+    ~population:population_arg
+
+(* compare runs both weightings, so it has no --neglect-probabilities. *)
+let compare_config_term =
+  search_config ~uniform:(Term.const false) ~generations:generations_arg
+    ~population:population_arg
+
+(* --dvs alone, at the default GA budget. *)
+let dvs_config_term =
+  search_config ~uniform:(Term.const false)
+    ~generations:(Term.const Engine.default_config.Engine.max_generations)
+    ~population:(Term.const Engine.default_config.Engine.population_size)
+
+(* The fitness part alone, for the searches that are not the GA. *)
+let dvs_fitness_term = Term.(const (fun c -> c.Synthesis.fitness) $ dvs_config_term)
+
+let ( +> ) config update =
+  Term.(const (fun config update -> update config) $ config $ update)
+
+(* --jobs, clamped to the cores unless --allow-oversubscribe. *)
+let jobs_term =
+  Term.(
+    const (fun jobs allow_oversubscribe config ->
+        { config with Synthesis.jobs = effective_jobs ~allow_oversubscribe jobs })
+    $ jobs_arg $ allow_oversubscribe_arg)
+
+(* --islands, --migration-every, --migrants. *)
+let islands_term =
+  Term.(
+    const (fun islands migration_interval migration_count config ->
+        { config with Synthesis.islands; migration_interval; migration_count })
+    $ islands_arg $ migration_every_arg $ migrants_arg)
+
+(* --robust, --robust-samples, --robust-objective, against the phone cell. *)
+let robust_term =
+  Term.(
+    const (fun robust samples objective config ->
+        let robust =
+          Option.map
+            (fun model ->
+              {
+                Synthesis.model;
+                samples;
+                objective;
+                battery = Mm_energy.Battery.phone_cell;
+              })
+            robust
+        in
+        { config with Synthesis.robust })
+    $ robust_arg $ robust_samples_arg $ robust_objective_arg)
+
+let audit_term =
+  Term.(const (fun audit (config : Synthesis.config) -> { config with audit }) $ audit_arg)
+
+(* --trace, --trace-jsonl, --trace-fine, --metrics, --log-level: yields
+   [with_obs] with those settings, to wrap a verb's body. *)
+let obs_term =
+  Term.(
+    const with_obs $ trace_arg $ trace_jsonl_arg $ trace_fine_arg $ metrics_arg
+    $ log_level_arg)
+
+(* --devices, --usage, --batch, --fleet-seed, --fleet-horizon: yields
+   [run_fleet] with those settings. *)
+let fleet_term =
+  Term.(
+    const run_fleet $ devices_arg $ usage_arg $ batch_arg $ fleet_seed_arg
+    $ fleet_horizon_arg)
 
 (* --- show ------------------------------------------------------------------- *)
 
@@ -747,20 +797,10 @@ let with_kill_switch ~kill_after save =
       incr written;
       if !written >= n then Unix.kill (Unix.getpid ()) Sys.sigkill
 
-let synth name force audit seed dvs uniform generations population jobs islands
-    migration_every migrants allow_oversubscribe robust robust_samples
-    robust_objective fleet devices usage batch fleet_seed fleet_horizon checkpoint
-    checkpoint_every resume kill_after trace trace_jsonl trace_fine metrics
-    log_level =
-  with_obs ~trace ~trace_jsonl ~trace_fine ~metrics ~log_level @@ fun () ->
+let synth name force seed config fleet run_fleet checkpoint checkpoint_every resume
+    kill_after with_obs =
+  with_obs @@ fun () ->
   let* spec = spec_of_benchmark ~force name in
-  let jobs = effective_jobs ~allow_oversubscribe jobs in
-  let config =
-    config_of ~jobs ~audit ~islands ~migration_interval:migration_every
-      ~migration_count:migrants
-      ~robust:(robust_of ~robust ~robust_samples ~robust_objective)
-      ~dvs ~uniform ~generations ~population ()
-  in
   let* resume =
     match resume with
     | None -> Ok None
@@ -790,16 +830,8 @@ let synth name force audit seed dvs uniform generations population jobs islands
   | result -> (
     Report.print_result spec result;
     let* () =
-      if not fleet then Ok ()
-      else
-        match
-          run_fleet ~jobs ~devices ~batch ~usage ~horizon:fleet_horizon
-            ~fleet_seed:(Option.value fleet_seed ~default:(seed + 1))
-            spec result
-        with
-        | () -> Ok ()
-        | exception Invalid_argument message -> Error (`Msg message)
-        | exception Sys_error message -> Error (`Msg message)
+      if fleet then run_fleet ~jobs:config.Synthesis.jobs ~seed ~report:None spec result
+      else Ok ()
     in
     match result.Synthesis.audit with
     | Some report when not report.Audit.clean ->
@@ -814,14 +846,10 @@ let synth_cmd =
   let term =
     Term.(
       term_result
-        (const synth $ benchmark_arg $ force_arg $ audit_arg $ seed_arg $ dvs_arg
-       $ uniform_arg $ generations_arg $ population_arg $ jobs_arg $ islands_arg
-       $ migration_every_arg $ migrants_arg
-       $ allow_oversubscribe_arg $ robust_arg
-       $ robust_samples_arg $ robust_objective_arg $ fleet_flag $ devices_arg
-       $ usage_arg $ batch_arg $ fleet_seed_arg $ fleet_horizon_arg $ checkpoint_arg
-       $ checkpoint_every_arg $ resume_arg $ kill_after_arg $ trace_arg
-       $ trace_jsonl_arg $ trace_fine_arg $ metrics_arg $ log_level_arg))
+        (const synth $ benchmark_arg $ force_arg $ seed_arg
+        $ (config_term +> jobs_term +> islands_term +> robust_term +> audit_term)
+        $ fleet_flag $ fleet_term $ checkpoint_arg $ checkpoint_every_arg $ resume_arg
+        $ kill_after_arg $ obs_term))
   in
   Cmd.v
     (Cmd.info "synth"
@@ -830,22 +858,10 @@ let synth_cmd =
 
 (* --- compare ------------------------------------------------------------------ *)
 
-let compare_cmd_impl name force audit seed dvs runs generations population jobs
-    islands migration_every migrants allow_oversubscribe robust
-    robust_samples robust_objective fleet devices usage batch fleet_seed
-    fleet_horizon checkpoint resume kill_after trace trace_jsonl trace_fine metrics
-    log_level =
-  with_obs ~trace ~trace_jsonl ~trace_fine ~metrics ~log_level @@ fun () ->
+let compare_cmd_impl name force seed runs config fleet run_fleet checkpoint resume
+    kill_after with_obs =
+  with_obs @@ fun () ->
   let* spec = spec_of_benchmark ~force name in
-  let jobs = effective_jobs ~allow_oversubscribe jobs in
-  let ga =
-    {
-      Engine.default_config with
-      max_generations = generations;
-      population_size = population;
-    }
-  in
-  let dvs = if dvs then Fitness.Dvs Mm_dvs.Scaling.default_config else Fitness.No_dvs in
   let* resume =
     match resume with
     | None -> Ok None
@@ -872,11 +888,7 @@ let compare_cmd_impl name force audit seed dvs runs generations population jobs
       checkpoint
   in
   let* c =
-    match Experiment.compare ~ga ~dvs ~jobs ~audit ~islands
-            ~migration_interval:migration_every ~migration_count:migrants
-            ~robust:(robust_of ~robust ~robust_samples ~robust_objective)
-            ?checkpoint ?resume ~spec ~runs ~seed ()
-    with
+    match Experiment.compare ~config ?checkpoint ?resume ~spec ~runs ~seed () with
     | c -> Ok c
     | exception Invalid_argument message -> Error (`Msg message)
   in
@@ -893,21 +905,13 @@ let compare_cmd_impl name force audit seed dvs runs generations population jobs
      (one --fleet-seed), so the distributions differ only by design. *)
   let* () =
     if not fleet then Ok ()
-    else begin
-      let fleet_seed = Option.value fleet_seed ~default:(seed + 1) in
+    else
       let simulate label (arm : Experiment.arm) =
         Format.printf "fleet of %s best:@." label;
-        run_fleet ~jobs ~devices ~batch ~usage ~horizon:fleet_horizon ~fleet_seed spec
-          arm.Experiment.best
+        run_fleet ~jobs:config.Synthesis.jobs ~seed ~report:None spec arm.Experiment.best
       in
-      match
-        simulate "baseline" c.Experiment.without_probabilities;
-        simulate "proposed" c.Experiment.with_probabilities
-      with
-      | () -> Ok ()
-      | exception Invalid_argument message -> Error (`Msg message)
-      | exception Sys_error message -> Error (`Msg message)
-    end
+      let* () = simulate "baseline" c.Experiment.without_probabilities in
+      simulate "proposed" c.Experiment.with_probabilities
   in
   (* Replayed (resumed) best runs carry no live audit report; only runs
      executed here can fail the command. *)
@@ -924,14 +928,10 @@ let compare_cmd =
   let term =
     Term.(
       term_result
-        (const compare_cmd_impl $ benchmark_arg $ force_arg $ audit_arg $ seed_arg
-       $ dvs_arg $ runs_arg $ generations_arg $ population_arg $ jobs_arg
-       $ islands_arg $ migration_every_arg $ migrants_arg
-       $ allow_oversubscribe_arg $ robust_arg
-       $ robust_samples_arg $ robust_objective_arg $ fleet_flag $ devices_arg
-       $ usage_arg $ batch_arg $ fleet_seed_arg $ fleet_horizon_arg $ checkpoint_arg
-       $ resume_arg $ kill_after_arg $ trace_arg $ trace_jsonl_arg $ trace_fine_arg
-       $ metrics_arg $ log_level_arg))
+        (const compare_cmd_impl $ benchmark_arg $ force_arg $ seed_arg $ runs_arg
+        $ (compare_config_term +> jobs_term +> islands_term +> robust_term +> audit_term)
+        $ fleet_flag $ fleet_term $ checkpoint_arg $ resume_arg $ kill_after_arg
+        $ obs_term))
   in
   Cmd.v
     (Cmd.info "compare"
@@ -982,11 +982,8 @@ let output_arg =
     & opt (some string) None
     & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write the JSON to FILE instead of stdout.")
 
-let export_json name force seed dvs uniform generations population jobs
-    allow_oversubscribe output =
+let export_json name force seed config output =
   let* spec = spec_of_benchmark ~force name in
-  let jobs = effective_jobs ~allow_oversubscribe jobs in
-  let config = config_of ~jobs ~dvs ~uniform ~generations ~population () in
   match Synthesis.run ~config ~spec ~seed () with
   | result -> (
     let json = Mm_cosynth.Export_json.to_string spec result.Synthesis.eval in
@@ -1012,9 +1009,8 @@ let export_json_cmd =
   let term =
     Term.(
       term_result
-        (const export_json $ benchmark_arg $ force_arg $ seed_arg $ dvs_arg
-       $ uniform_arg $ generations_arg $ population_arg $ jobs_arg
-       $ allow_oversubscribe_arg $ output_arg))
+        (const export_json $ benchmark_arg $ force_arg $ seed_arg
+        $ (config_term +> jobs_term) $ output_arg))
   in
   Cmd.v
     (Cmd.info "export-json"
@@ -1025,31 +1021,28 @@ let export_json_cmd =
 
 (* --- gantt ----------------------------------------------------------------- *)
 
-let gantt name seed dvs mode =
+let gantt name seed config mode =
   let* spec = spec_of_benchmark name in
   let omsm = Spec.omsm spec in
   if mode < 0 || mode >= Omsm.n_modes omsm then
     Error (`Msg (Printf.sprintf "mode %d out of range" mode))
   else begin
-    let config =
-      config_of ~dvs ~uniform:false
-        ~generations:Engine.default_config.Engine.max_generations
-        ~population:Engine.default_config.Engine.population_size ()
-    in
     let result = Synthesis.run ~config ~spec ~seed () in
     let eval = result.Synthesis.eval in
     let sched = eval.Fitness.schedules.(mode) in
-    if dvs then
+    (match config.Synthesis.fitness.Fitness.dvs with
+    | Fitness.Dvs _ ->
       print_string
         (Mm_sched.Gantt.render_scaled sched
            ~stretched_finish:eval.Fitness.scalings.(mode).Mm_dvs.Scaling.stretched_finish)
-    else print_string (Mm_sched.Gantt.render sched);
+    | Fitness.No_dvs -> print_string (Mm_sched.Gantt.render sched));
     Ok ()
   end
 
 let gantt_cmd =
   let term =
-    Term.(term_result (const gantt $ benchmark_arg $ seed_arg $ dvs_arg $ mode_arg))
+    Term.(
+      term_result (const gantt $ benchmark_arg $ seed_arg $ dvs_config_term $ mode_arg))
   in
   Cmd.v
     (Cmd.info "gantt" ~doc:"Synthesise, then chart one mode's schedule as ASCII Gantt.")
@@ -1063,14 +1056,8 @@ let steps_arg =
     & opt int Mm_cosynth.Annealing.default_config.Mm_cosynth.Annealing.steps
     & info [ "steps" ] ~docv:"N" ~doc:"Simulated-annealing move budget.")
 
-let anneal name seed dvs steps =
+let anneal name seed fitness steps =
   let* spec = spec_of_benchmark name in
-  let fitness =
-    {
-      Fitness.default_config with
-      dvs = (if dvs then Fitness.Dvs Mm_dvs.Scaling.default_config else Fitness.No_dvs);
-    }
-  in
   let config = { Mm_cosynth.Annealing.default_config with Mm_cosynth.Annealing.steps } in
   let result = Mm_cosynth.Annealing.run ~config ~fitness ~spec ~seed () in
   Format.printf "simulated annealing: %.4g mW (feasible %b, %d/%d moves accepted, %.1fs)@."
@@ -1091,7 +1078,8 @@ let anneal name seed dvs steps =
 
 let anneal_cmd =
   let term =
-    Term.(term_result (const anneal $ benchmark_arg $ seed_arg $ dvs_arg $ steps_arg))
+    Term.(
+      term_result (const anneal $ benchmark_arg $ seed_arg $ dvs_fitness_term $ steps_arg))
   in
   Cmd.v
     (Cmd.info "anneal"
@@ -1148,19 +1136,15 @@ let samples_arg =
     value & opt int 1000
     & info [ "samples" ] ~docv:"N" ~doc:"Perturbed usage profiles to sample.")
 
-let robustness name seed dvs samples strength =
+let robustness name seed (config : Synthesis.config) samples strength =
   let* spec = spec_of_benchmark name in
   (* Synthesise both arms, then stress them under the same perturbed
      usage profiles. *)
-  let run uniform =
-    let config =
-      config_of ~dvs ~uniform
-        ~generations:Engine.default_config.Engine.max_generations
-        ~population:Engine.default_config.Engine.population_size ()
-    in
+  let run weighting =
+    let config = { config with fitness = { config.fitness with Fitness.weighting } } in
     Synthesis.run ~config ~spec ~seed ()
   in
-  let baseline = run true and proposed = run false in
+  let baseline = run Fitness.Uniform and proposed = run Fitness.True_probabilities in
   let c =
     Mm_cosynth.Sensitivity.compare_mappings ~samples ~strength ~spec
       ~baseline:baseline.Synthesis.eval.Fitness.mapping
@@ -1187,7 +1171,7 @@ let robustness_cmd =
   let term =
     Term.(
       term_result
-        (const robustness $ benchmark_arg $ seed_arg $ dvs_arg $ samples_arg
+        (const robustness $ benchmark_arg $ seed_arg $ dvs_config_term $ samples_arg
        $ strength_arg))
   in
   Cmd.v
@@ -1199,14 +1183,8 @@ let robustness_cmd =
 
 (* --- frontier --------------------------------------------------------------- *)
 
-let frontier name seed dvs generations =
+let frontier name seed fitness generations =
   let* spec = spec_of_benchmark name in
-  let fitness =
-    {
-      Fitness.default_config with
-      dvs = (if dvs then Fitness.Dvs Mm_dvs.Scaling.default_config else Fitness.No_dvs);
-    }
-  in
   let config =
     { Mm_ga.Nsga2.default_config with Mm_ga.Nsga2.max_generations = generations }
   in
@@ -1233,7 +1211,8 @@ let frontier name seed dvs generations =
 let frontier_cmd =
   let term =
     Term.(
-      term_result (const frontier $ benchmark_arg $ seed_arg $ dvs_arg $ generations_arg))
+      term_result
+        (const frontier $ benchmark_arg $ seed_arg $ dvs_fitness_term $ generations_arg))
   in
   Cmd.v
     (Cmd.info "frontier"
@@ -1247,13 +1226,8 @@ let horizon_arg =
     value & opt float 10_000.0
     & info [ "horizon" ] ~docv:"T" ~doc:"Simulated operational time (seconds).")
 
-let simulate name seed dvs horizon =
+let simulate name seed config horizon =
   let* spec = spec_of_benchmark name in
-  let config =
-    config_of ~dvs ~uniform:false
-      ~generations:Engine.default_config.Engine.max_generations
-      ~population:Engine.default_config.Engine.population_size ()
-  in
   let result = Synthesis.run ~config ~spec ~seed () in
   let omsm = Spec.omsm spec in
   let mode_powers = result.Synthesis.eval.Fitness.mode_powers in
@@ -1277,7 +1251,8 @@ let simulate name seed dvs horizon =
 let simulate_cmd =
   let term =
     Term.(
-      term_result (const simulate $ benchmark_arg $ seed_arg $ dvs_arg $ horizon_arg))
+      term_result
+        (const simulate $ benchmark_arg $ seed_arg $ dvs_config_term $ horizon_arg))
   in
   Cmd.v
     (Cmd.info "simulate"
@@ -1294,41 +1269,23 @@ let fleet_report_arg =
     & pos 1 (some string) None
     & info [] ~docv:"REPORT" ~doc:"Path the fleet JSON report is written to.")
 
-let fleet_cmd_impl name force seed dvs uniform generations population jobs
-    allow_oversubscribe robust robust_samples robust_objective devices usage batch
-    fleet_seed fleet_horizon report =
+let fleet_cmd_impl name force seed config run_fleet report =
   let* spec = spec_of_benchmark ~force name in
-  let jobs = effective_jobs ~allow_oversubscribe jobs in
-  let config =
-    config_of ~jobs
-      ~robust:(robust_of ~robust ~robust_samples ~robust_objective)
-      ~dvs ~uniform ~generations ~population ()
-  in
   match Synthesis.run ~config ~spec ~seed () with
-  | result -> (
+  | result ->
     Format.printf "synthesised: average power %.4g mW, feasible %b@."
       (Synthesis.average_power result *. 1e3)
       (Fitness.feasible result.Synthesis.eval);
-    match
-      run_fleet ~report_path:report ~jobs ~devices ~batch ~usage
-        ~horizon:fleet_horizon
-        ~fleet_seed:(Option.value fleet_seed ~default:(seed + 1))
-        spec result
-    with
-    | () -> Ok ()
-    | exception Invalid_argument message -> Error (`Msg message)
-    | exception Sys_error message -> Error (`Msg message))
+    run_fleet ~jobs:config.Synthesis.jobs ~seed ~report:(Some report) spec result
   | exception Invalid_argument message -> Error (`Msg message)
 
 let fleet_cmd =
   let term =
     Term.(
       term_result
-        (const fleet_cmd_impl $ benchmark_arg $ force_arg $ seed_arg $ dvs_arg
-       $ uniform_arg $ generations_arg $ population_arg $ jobs_arg
-       $ allow_oversubscribe_arg $ robust_arg $ robust_samples_arg
-       $ robust_objective_arg $ devices_arg $ usage_arg $ batch_arg $ fleet_seed_arg
-       $ fleet_horizon_arg $ fleet_report_arg))
+        (const fleet_cmd_impl $ benchmark_arg $ force_arg $ seed_arg
+        $ (config_term +> jobs_term +> robust_term)
+        $ fleet_term $ fleet_report_arg))
   in
   Cmd.v
     (Cmd.info "fleet"

@@ -26,6 +26,7 @@ type run_summary = {
 type state = {
   seed : int;
   runs : int;
+  fingerprint : string option;
   baseline_done : run_summary list;
   proposed_done : run_summary list;
 }
@@ -40,27 +41,10 @@ let summarize_run (r : Synthesis.result) =
     history = r.Synthesis.history;
   }
 
-let run_arm ~ga ~dvs ~use_improvements ~restarts ~jobs ~audit ~islands
-    ~migration_interval ~migration_count ~robust ~weighting ~spec ~runs ~seed
-    ~completed ~on_run =
+let run_arm ~config ~spec ~runs ~seed ~completed ~on_run =
   if runs <= 0 then invalid_arg "Experiment.compare: runs must be positive";
   if List.length completed > runs then
     invalid_arg "Experiment.compare: snapshot holds more runs than requested";
-  let fitness = { Fitness.default_config with Fitness.weighting; dvs } in
-  let config =
-    {
-      Synthesis.fitness;
-      ga;
-      use_improvements;
-      restarts;
-      jobs;
-      audit;
-      islands;
-      migration_interval;
-      migration_count;
-      robust;
-    }
-  in
   (* Oldest-first; replayed runs carry no [Synthesis.result] — if one of
      them ends up best, the result is rebuilt from its genome below. *)
   let pairs = ref (List.map (fun s -> (s, None)) completed) in
@@ -110,18 +94,24 @@ let run_arm ~ga ~dvs ~use_improvements ~restarts ~jobs ~audit ~islands
   ( { power = Stats.summarize powers; cpu_seconds = Stats.summarize cpu; best },
     List.map fst !pairs )
 
-let compare ?(ga = Mm_ga.Engine.default_config) ?(dvs = Fitness.No_dvs)
-    ?(use_improvements = true) ?(restarts = Synthesis.default_config.Synthesis.restarts)
-    ?(jobs = Synthesis.default_config.Synthesis.jobs) ?(audit = false)
-    ?(islands = Synthesis.default_config.Synthesis.islands)
-    ?(migration_interval = Synthesis.default_config.Synthesis.migration_interval)
-    ?(migration_count = Synthesis.default_config.Synthesis.migration_count)
-    ?(robust = None) ?checkpoint ?resume ~spec ~runs ~seed () =
+let with_weighting weighting (config : Synthesis.config) =
+  { config with Synthesis.fitness = { config.Synthesis.fitness with Fitness.weighting } }
+
+let compare ?(config = Synthesis.default_config) ?checkpoint ?resume ~spec ~runs ~seed () =
+  let baseline = with_weighting Fitness.Uniform config in
+  (* The arms differ in weighting alone, so the baseline arm's
+     fingerprint pins every trajectory-relevant field of both. *)
+  let fingerprint = Synthesis.config_fingerprint baseline in
   (match resume with
   | None -> ()
   | Some st ->
     if st.seed <> seed || st.runs <> runs then
       invalid_arg "Experiment.compare: snapshot seed/runs do not match this comparison";
+    (match st.fingerprint with
+    | Some found when not (String.equal found fingerprint) ->
+      invalid_arg
+        "Experiment.compare: snapshot configuration does not match this comparison"
+    | Some _ | None -> ());
     if List.length st.baseline_done > runs || List.length st.proposed_done > runs then
       invalid_arg "Experiment.compare: snapshot holds more runs than requested";
     (* The proposed arm only starts once the baseline arm is complete. *)
@@ -129,26 +119,20 @@ let compare ?(ga = Mm_ga.Engine.default_config) ?(dvs = Fitness.No_dvs)
       invalid_arg "Experiment.compare: snapshot proposed-arm runs precede a full baseline");
   let baseline_done = match resume with None -> [] | Some st -> st.baseline_done in
   let proposed_done = match resume with None -> [] | Some st -> st.proposed_done in
+  let save baseline_done proposed_done =
+    { seed; runs; fingerprint = Some fingerprint; baseline_done; proposed_done }
+  in
   let without_probabilities, baseline_all =
-    run_arm ~ga ~dvs ~use_improvements ~restarts ~jobs ~audit ~islands
-      ~migration_interval ~migration_count ~robust ~weighting:Fitness.Uniform ~spec
-      ~runs ~seed ~completed:baseline_done
+    run_arm ~config:baseline ~spec ~runs ~seed ~completed:baseline_done
       ~on_run:
-        (Option.map
-           (fun save summaries ->
-             save { seed; runs; baseline_done = summaries; proposed_done = [] })
-           checkpoint)
+        (Option.map (fun sink summaries -> sink (save summaries [])) checkpoint)
   in
   let with_probabilities, _ =
-    run_arm ~ga ~dvs ~use_improvements ~restarts ~jobs ~audit ~islands
-      ~migration_interval ~migration_count ~robust
-      ~weighting:Fitness.True_probabilities ~spec ~runs ~seed
-      ~completed:proposed_done
+    run_arm
+      ~config:(with_weighting Fitness.True_probabilities config)
+      ~spec ~runs ~seed ~completed:proposed_done
       ~on_run:
-        (Option.map
-           (fun save summaries ->
-             save { seed; runs; baseline_done = baseline_all; proposed_done = summaries })
-           checkpoint)
+        (Option.map (fun sink summaries -> sink (save baseline_all summaries)) checkpoint)
   in
   {
     without_probabilities;

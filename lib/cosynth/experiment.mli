@@ -33,6 +33,12 @@ type run_summary = {
 type state = {
   seed : int;
   runs : int;  (** Runs per arm the comparison was started with. *)
+  fingerprint : string option;
+      (** {!Synthesis.config_fingerprint} of the comparison's baseline-arm
+          configuration — the arms differ in weighting alone, so it pins
+          every trajectory-relevant field of both.  [None] only in a
+          state decoded from a snapshot written before comparisons were
+          fingerprinted; such a state resumes unchecked. *)
   baseline_done : run_summary list;  (** Completed Uniform-arm runs, oldest first. *)
   proposed_done : run_summary list;
       (** Completed True_probabilities-arm runs; always empty until the
@@ -44,16 +50,7 @@ type state = {
     most one run's work. *)
 
 val compare :
-  ?ga:Mm_ga.Engine.config ->
-  ?dvs:Fitness.dvs ->
-  ?use_improvements:bool ->
-  ?restarts:int ->
-  ?jobs:int ->
-  ?audit:bool ->
-  ?islands:int ->
-  ?migration_interval:int ->
-  ?migration_count:int ->
-  ?robust:Synthesis.robust_usage option ->
+  ?config:Synthesis.config ->
   ?checkpoint:(state -> unit) ->
   ?resume:state ->
   spec:Spec.t ->
@@ -63,17 +60,19 @@ val compare :
   comparison
 (** [runs] repeated synthesis runs per arm (the paper used 40), seeded
     [seed], [seed+1], …; both arms share seeds so the comparison is
-    paired.  [jobs] is forwarded to {!Synthesis.config}; it never
-    changes the synthesised results, only how fast they are computed.  [islands], [migration_interval] and
-    [migration_count] select the island-model GA for every run of both
-    arms — unlike [jobs] they {e do} change each run's trajectory (see
-    {!Synthesis.config}), but both arms share the topology so the
-    comparison stays paired.  [audit] (default [false]) runs
-    {!Audit.check} on every synthesis result; a dirty report is logged
-    by {!Synthesis.run} but never aborts the comparison.
+    paired.  Every run of both arms uses [config] (default
+    {!Synthesis.default_config}) with its [fitness.weighting] replaced by
+    the arm's — [Uniform] for the baseline, [True_probabilities] for the
+    proposed arm; every other field, the GA budget, DVS, island topology
+    and robust objective included, is shared, so the comparison stays
+    paired.  As in {!Synthesis.run}, [config.jobs] and [config.audit]
+    never change a result; a dirty audit report is logged by
+    {!Synthesis.run} but never aborts the comparison.
 
     [checkpoint] is called with the comparison's {!state} after every
     completed run; [resume] skips the runs a state already holds.  The
     resumed comparison's powers and best mappings are bit-identical to
-    the uninterrupted one's, and so are its evaluation counts.  Raises [Invalid_argument] when the state's seed/runs bookkeeping
-    does not match this comparison. *)
+    the uninterrupted one's, and so are its evaluation counts.  Raises
+    [Invalid_argument] when the state's seed/runs bookkeeping does not
+    match this comparison, or when its fingerprint differs from this
+    [config]'s (a [jobs] or [audit] change still resumes). *)

@@ -44,6 +44,19 @@ let default_config =
     robust = None;
   }
 
+let config_of_flags ~dvs ~uniform ~generations ~population =
+  {
+    default_config with
+    fitness =
+      {
+        Fitness.default_config with
+        weighting = (if uniform then Fitness.Uniform else Fitness.True_probabilities);
+        dvs = (if dvs then Fitness.Dvs Mm_dvs.Scaling.default_config else Fitness.No_dvs);
+      };
+    ga =
+      { Engine.default_config with max_generations = generations; population_size = population };
+  }
+
 (* A robust request with the point model samples the published Ψ
    verbatim — structurally the seed objective — so it is bypassed
    entirely: no Ψ sampling, no fingerprint suffix, bit-identical

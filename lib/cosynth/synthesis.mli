@@ -64,6 +64,18 @@ type config = {
 
 val default_config : config
 
+val config_of_flags :
+  dvs:bool -> uniform:bool -> generations:int -> population:int -> config
+(** The one mapping from the user-facing search knobs to a
+    configuration, shared by the [mmsynth] command line ([--dvs],
+    [--neglect-probabilities], [--generations], [--population]) and the
+    daemon's job options of the same names: [dvs] selects
+    {!Fitness.Dvs} with {!Mm_dvs.Scaling.default_config}, [uniform]
+    selects {!Fitness.Uniform} weighting (else
+    {!Fitness.True_probabilities}), and the budget goes into
+    {!Mm_ga.Engine.default_config}.  Every other field is
+    {!default_config}'s. *)
+
 type result = {
   genome : int array;
   eval : Fitness.eval;

@@ -111,13 +111,19 @@ let run_to_sexp (s : Experiment.run_summary) =
     ]
 
 let compare_to_sexp (state : Experiment.state) =
+  let config =
+    Option.map (fun fp -> Sexp.field "config" [ Sexp.atom fp ]) state.fingerprint
+  in
   Sexp.field "compare"
-    [
-      Sexp.field "seed" [ Sexp.int state.Experiment.seed ];
-      Sexp.field "runs" [ Sexp.int state.runs ];
-      Sexp.field "baseline" (List.map run_to_sexp state.baseline_done);
-      Sexp.field "proposed" (List.map run_to_sexp state.proposed_done);
-    ]
+    ([
+       Sexp.field "seed" [ Sexp.int state.Experiment.seed ];
+       Sexp.field "runs" [ Sexp.int state.runs ];
+     ]
+    @ Option.to_list config
+    @ [
+        Sexp.field "baseline" (List.map run_to_sexp state.baseline_done);
+        Sexp.field "proposed" (List.map run_to_sexp state.proposed_done);
+      ])
 
 let to_string ~spec payload =
   let body =
@@ -219,6 +225,13 @@ let compare_of_fields fields : Experiment.state =
   {
     Experiment.seed = Sexp.as_int (one "seed" fields);
     runs = Sexp.as_int (one "runs" fields);
+    (* Absent from compare snapshots written before comparisons were
+       fingerprinted; those resume unchecked, as they always did. *)
+    fingerprint =
+      (match Sexp.assoc_opt "config" fields with
+      | Some [ v ] -> Some (Sexp.as_atom v)
+      | Some _ -> failwith "config: expected exactly one value"
+      | None -> None);
     baseline_done = List.map run_of_sexp (Sexp.assoc "baseline" fields);
     proposed_done = List.map run_of_sexp (Sexp.assoc "proposed" fields);
   }

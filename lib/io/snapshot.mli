@@ -27,7 +27,10 @@
     permutation plus one engine section per island, in island index
     order.  Version-1 snapshots (no [islands] field) are still read, and
     so are snapshots carrying the [cache-hits] counters that earlier
-    builds wrote (the field is ignored).
+    builds wrote (the field is ignored).  A compare payload carries its
+    configuration fingerprint as [(config ...)], like a synth payload;
+    compare snapshots written without it still load (the state's
+    [fingerprint] is then [None]).
 
     PRNG states are 64-bit words and appear as decimal atoms; floats are
     printed with {!Sexp.float}, which round-trips bit-exactly. *)

@@ -1,8 +1,6 @@
 module Pool = Mm_parallel.Pool
 module Snapshot = Mm_io.Snapshot
 module Synthesis = Mm_cosynth.Synthesis
-module Fitness = Mm_cosynth.Fitness
-module Engine = Mm_ga.Engine
 module Log = Mm_obs.Log
 module Fault = Mm_fault.Fault
 
@@ -54,23 +52,9 @@ let default_config =
 
 let synthesis_config (options : Job.options) =
   {
-    Synthesis.default_config with
-    fitness =
-      {
-        Fitness.default_config with
-        weighting =
-          (if options.Job.uniform then Fitness.Uniform
-           else Fitness.True_probabilities);
-        dvs =
-          (if options.Job.dvs then Fitness.Dvs Mm_dvs.Scaling.default_config
-           else Fitness.No_dvs);
-      };
-    ga =
-      {
-        Engine.default_config with
-        max_generations = options.Job.generations;
-        population_size = options.Job.population;
-      };
+    (Synthesis.config_of_flags ~dvs:options.Job.dvs ~uniform:options.Job.uniform
+       ~generations:options.Job.generations ~population:options.Job.population)
+    with
     restarts = options.Job.restarts;
     (* Parallel evaluation comes from the shared pool the server passes
        to [Synthesis.run]; a per-job pool would defeat the bound. *)

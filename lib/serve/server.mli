@@ -65,10 +65,15 @@ val default_read_deadline : float
 
 val synthesis_config : Job.options -> Mm_cosynth.Synthesis.config
 (** The per-job synthesis configuration a daemon derives from submitted
-    options — exactly the CLI's mapping, so a daemon job and a
-    [mmsynth synth] run with the same flags share one trajectory (and
-    one {!Mm_cosynth.Synthesis.config_fingerprint}, which is what lets a
-    restarted daemon resume a snapshot taken by its predecessor). *)
+    options.  The search knobs go through
+    {!Mm_cosynth.Synthesis.config_of_flags}, the mapping [mmsynth]'s
+    flags of the same names use; restarts and the island topology are
+    copied as given, and [jobs] is 1 because evaluation runs on the
+    daemon's shared pool, which never changes a result.  So a daemon job
+    and a [mmsynth synth] run with the same flags share one trajectory
+    (test/serve_smoke.sh checks that power and generation count agree) and one
+    {!Mm_cosynth.Synthesis.config_fingerprint}, which is what lets a
+    restarted daemon resume a snapshot taken by its predecessor. *)
 
 type t
 (** A daemon's job side: the registry, the scheduler with one coroutine

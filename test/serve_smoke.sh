@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end crash-recovery smoke for mmsynthd.
 #
-# Phase A runs a reference job to completion on an undisturbed daemon.
+# Phase A runs a reference job to completion on an undisturbed daemon
+# and requires `mmsynth synth` with the same flags to report its power
+# and generation count.
 # Phase B submits the same job (same options, same id) plus a filler job
 # and one invalid spec (which must be rejected with MM0xx diagnostics),
 # SIGKILLs the daemon as soon as the job's first checkpoint hits disk,
@@ -69,6 +71,30 @@ start_daemon "$WORK/state-ref"
 shutdown_daemon
 grep -q completed "$WORK/state-ref/jobs/job-0001/job.sexp" || {
   echo "reference job did not complete"; exit 1; }
+
+# The daemon maps a job's options to a synthesis configuration through
+# the same function the CLI maps its flags through, so `mmsynth synth`
+# with the same flags must find the reference job's design after the
+# same number of generations.  The CLI prints the power to 4 significant
+# digits; result.sexp holds it exactly (in W), so it is printed here the
+# way the CLI's report prints it.
+RESULT="$WORK/state-ref/jobs/job-0001/result.sexp"
+DAEMON=$(awk '
+  match($0, /\(power [^)]*\)/) {
+    w = substr($0, RSTART + 7, RLENGTH - 8) + 0
+    if (w < 1e-3) p = sprintf("%.4gµW", w * 1e6)
+    else if (w < 1) p = sprintf("%.4gmW", w * 1e3)
+    else p = sprintf("%.4gW", w) }
+  match($0, /\(generations [0-9]*\)/) { g = substr($0, RSTART + 13, RLENGTH - 14) }
+  END { if (p != "" && g != "") print p ", " g " generations" }' "$RESULT")
+CLI=$("$MMSYNTH" synth "file:$WORK/mul6.mms" "${SYNTH_FLAGS[@]}" | awk '
+  /^average power \(true Ψ\): / { p = $NF }
+  /^GA: / { g = $2 }
+  END { if (p != "" && g != "") print p ", " g " generations" }')
+[ -n "$DAEMON" ] && [ "$DAEMON" = "$CLI" ] || {
+  echo "daemon reference job ($DAEMON) differs from mmsynth synth with the" \
+    "same flags ($CLI)"; exit 1; }
+echo "mmsynth synth agrees with the daemon's reference job: $CLI"
 
 # --- phase B: same submission, daemon SIGKILLed mid-run ----------------------
 SOCK="$WORK/crash.sock"

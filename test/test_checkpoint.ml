@@ -331,40 +331,235 @@ let test_synthesis_islands_jobs_invariant () =
 
 (* --- Experiment level ----------------------------------------------------------- *)
 
-let test_experiment_resume_every_run () =
-  let ga =
-    {
-      Engine.default_config with
-      population_size = 8;
-      max_generations = 6;
-      stagnation_limit = 20;
-    }
-  in
-  let runs = 3 and seed = 2 in
-  let straight = Experiment.compare ~ga ~spec ~runs ~seed () in
+let experiment_config =
+  {
+    Synthesis.default_config with
+    ga =
+      {
+        Engine.default_config with
+        population_size = 8;
+        max_generations = 6;
+        stagnation_limit = 20;
+      };
+  }
+
+let arm_bits (c : Experiment.comparison) =
+  ( bits c.Experiment.without_probabilities.Experiment.power.Mm_util.Stats.mean,
+    bits c.Experiment.with_probabilities.Experiment.power.Mm_util.Stats.mean,
+    c.Experiment.without_probabilities.Experiment.best.Synthesis.genome,
+    c.Experiment.with_probabilities.Experiment.best.Synthesis.genome )
+
+(* Every state a checkpointed comparison hands its sink, oldest first. *)
+let compare_capturing ~config ~runs ~seed =
   let states = ref [] in
   let checkpoint st = states := st :: !states in
-  ignore (Experiment.compare ~ga ~checkpoint ~spec ~runs ~seed ());
-  let states = List.rev !states in
+  ignore (Experiment.compare ~config ~checkpoint ~spec ~runs ~seed ());
+  List.rev !states
+
+let test_experiment_resume_every_run () =
+  let config = experiment_config in
+  let runs = 3 and seed = 2 in
+  let straight = Experiment.compare ~config ~spec ~runs ~seed () in
+  let states = compare_capturing ~config ~runs ~seed in
   Alcotest.(check int) "one state per completed run" (2 * runs) (List.length states);
-  let arm_bits (c : Experiment.comparison) =
-    ( bits c.Experiment.without_probabilities.Experiment.power.Mm_util.Stats.mean,
-      bits c.Experiment.with_probabilities.Experiment.power.Mm_util.Stats.mean,
-      c.Experiment.without_probabilities.Experiment.best.Synthesis.genome,
-      c.Experiment.with_probabilities.Experiment.best.Synthesis.genome )
-  in
   List.iteri
     (fun i resume ->
-      let resumed = Experiment.compare ~ga ~resume ~spec ~runs ~seed () in
+      let resumed = Experiment.compare ~config ~resume ~spec ~runs ~seed () in
       Alcotest.(check bool)
         (Printf.sprintf "comparison resumed from state %d is bit-identical" i)
         true
         (arm_bits straight = arm_bits resumed))
     states;
   (* Bookkeeping mismatches are refused. *)
-  match Experiment.compare ~ga ~resume:(List.hd states) ~spec ~runs ~seed:99 () with
+  match Experiment.compare ~config ~resume:(List.hd states) ~spec ~runs ~seed:99 () with
   | _ -> Alcotest.fail "wrong seed accepted"
   | exception Invalid_argument _ -> ()
+
+let test_experiment_rejects_other_config () =
+  (* A comparison snapshot replays only under the configuration that
+     wrote it: one mid-baseline and one mid-proposed state, resumed under
+     a different GA budget or with DVS, are refused — never silently
+     mixed with runs of another configuration.  [jobs] and [audit] do not
+     change a trajectory, so a change of either still resumes, and
+     bit-identically. *)
+  let config = experiment_config in
+  let runs = 3 and seed = 4 in
+  let straight = Experiment.compare ~config ~spec ~runs ~seed () in
+  let states = compare_capturing ~config ~runs ~seed in
+  let picks = [ List.nth states 1; List.nth states (runs + 1) ] in
+  let refused name other =
+    List.iter
+      (fun resume ->
+        match Experiment.compare ~config:other ~resume ~spec ~runs ~seed () with
+        | _ -> Alcotest.failf "%s: snapshot of another configuration accepted" name
+        | exception Invalid_argument _ -> ())
+      picks
+  in
+  refused "max_generations"
+    { config with ga = { config.ga with Engine.max_generations = 7 } };
+  refused "DVS"
+    {
+      config with
+      fitness =
+        { config.fitness with Fitness.dvs = Fitness.Dvs Mm_dvs.Scaling.default_config };
+    };
+  List.iter
+    (fun (name, other) ->
+      List.iter
+        (fun resume ->
+          let resumed = Experiment.compare ~config:other ~resume ~spec ~runs ~seed () in
+          Alcotest.(check bool)
+            (name ^ ": resumed comparison is bit-identical")
+            true
+            (arm_bits straight = arm_bits resumed))
+        picks)
+    [
+      ("jobs 2", { config with jobs = 2 });
+      ("audit", { config with audit = true });
+      (* Only the arms' own weighting is ever used. *)
+      ( "uniform base weighting",
+        {
+          config with
+          fitness = { config.fitness with Fitness.weighting = Fitness.Uniform };
+        } );
+    ];
+  (* A state without a fingerprint (a snapshot older than comparison
+     fingerprints) still resumes, unchecked, as it always did. *)
+  let legacy = { (List.nth states 1) with Experiment.fingerprint = None } in
+  let resumed = Experiment.compare ~config ~resume:legacy ~spec ~runs ~seed () in
+  Alcotest.(check bool) "unfingerprinted state resumes" true
+    (arm_bits straight = arm_bits resumed)
+
+(* --- Configuration fingerprint --------------------------------------------------- *)
+
+(* The strings below are what every build since the island and robust
+   suffixes were introduced writes into its snapshots.  A change to any
+   of them strands every checkpoint on disk, so they are pinned byte for
+   byte. *)
+let default_fingerprint =
+  "w=p dvs=none sched=mobility pen=0x1.4p+4:0x1.4p+4:0x1.4p+4:0x1.9p+6 \
+   ga=40:2:0x1.ccccccccccccdp-1:0x1.47ae147ae147bp-6:2:150:25:0x1.47ae147ae147bp-7:0x1.ccccccccccccdp+0 \
+   improve=true restarts=2"
+
+let robust_usage =
+  {
+    Synthesis.model = Mm_energy.Fleet_sim.Dirichlet { concentration = 5.0 };
+    samples = 64;
+    objective = Fitness.Percentile 0.1;
+    battery = Mm_energy.Battery.phone_cell;
+  }
+
+let test_fingerprint_pinned () =
+  let d = Synthesis.default_config in
+  List.iter
+    (fun (name, config, expected) ->
+      Alcotest.(check string) name expected (Synthesis.config_fingerprint config))
+    [
+      ("default", d, default_fingerprint);
+      ( "DVS, uniform",
+        Synthesis.config_of_flags ~dvs:true ~uniform:true
+          ~generations:Engine.default_config.Engine.max_generations
+          ~population:Engine.default_config.Engine.population_size,
+        "w=u dvs=true/true/gradient sched=mobility \
+         pen=0x1.4p+4:0x1.4p+4:0x1.4p+4:0x1.9p+6 \
+         ga=40:2:0x1.ccccccccccccdp-1:0x1.47ae147ae147bp-6:2:150:25:0x1.47ae147ae147bp-7:0x1.ccccccccccccdp+0 \
+         improve=true restarts=2" );
+      ("islands 4", { d with islands = 4 }, default_fingerprint ^ " islands=4:8:2");
+      ( "robust dirichlet:5, 64 samples, p10",
+        { d with robust = Some robust_usage },
+        default_fingerprint
+        ^ " robust=dirichlet:0x1.4p+2:64:p0x1.999999999999ap-4:0x1.4cccccccccccdp-1:0x1.d99999999999ap+1:0x1.0cccccccccccdp+0:0x1.4p+2"
+      );
+    ]
+
+let test_fingerprint_sensitivity () =
+  (* Every field that can move a trajectory moves the string; [jobs] and
+     [audit] never do.  The island topology fields count only while the
+     island model is active, so they are varied on a 2-island base; the
+     robust fields likewise on a robust base. *)
+  let d = Synthesis.default_config in
+  let with_fitness f = { d with fitness = f d.fitness } in
+  let with_ga f = { d with ga = f d.ga } in
+  let with_penalties f =
+    with_fitness (fun fc -> { fc with Fitness.penalties = f fc.Fitness.penalties })
+  in
+  let dvs sc = with_fitness (fun fc -> { fc with Fitness.dvs = Fitness.Dvs sc }) in
+  let sc = Mm_dvs.Scaling.default_config in
+  let islands = { d with islands = 2 } in
+  let robust = { d with robust = Some robust_usage } in
+  let with_robust f = { d with robust = Some (f robust_usage) } in
+  let changed =
+    [
+      ("weighting", d, with_fitness (fun fc -> { fc with Fitness.weighting = Fitness.Uniform }));
+      ("dvs", d, dvs sc);
+      ("dvs software", dvs sc, dvs { sc with Mm_dvs.Scaling.scale_software = false });
+      ("dvs hardware", dvs sc, dvs { sc with Mm_dvs.Scaling.scale_hardware = false });
+      ("dvs strategy", dvs sc, dvs { sc with Mm_dvs.Scaling.strategy = Mm_dvs.Scaling.Even_slack });
+      ( "scheduler policy",
+        d,
+        with_fitness (fun fc ->
+            { fc with Fitness.scheduler_policy = Mm_sched.List_scheduler.Topological }) );
+      ("timing penalty", d, with_penalties (fun p -> { p with Fitness.timing = 21.0 }));
+      ("area penalty", d, with_penalties (fun p -> { p with Fitness.area = 21.0 }));
+      ("transition penalty", d, with_penalties (fun p -> { p with Fitness.transition = 21.0 }));
+      ("unroutable penalty", d, with_penalties (fun p -> { p with Fitness.unroutable = 101.0 }));
+      ("population", d, with_ga (fun g -> { g with Engine.population_size = 41 }));
+      ("tournament", d, with_ga (fun g -> { g with Engine.tournament_size = 3 }));
+      ("crossover", d, with_ga (fun g -> { g with Engine.crossover_rate = 0.8 }));
+      ("mutation", d, with_ga (fun g -> { g with Engine.mutation_rate = 0.03 }));
+      ("elite", d, with_ga (fun g -> { g with Engine.elite_count = 3 }));
+      ("generations", d, with_ga (fun g -> { g with Engine.max_generations = 151 }));
+      ("stagnation", d, with_ga (fun g -> { g with Engine.stagnation_limit = 26 }));
+      ("diversity", d, with_ga (fun g -> { g with Engine.diversity_threshold = 0.02 }));
+      ("pressure", d, with_ga (fun g -> { g with Engine.selection_pressure = 1.5 }));
+      ("improvements", d, { d with use_improvements = false });
+      ("restarts", d, { d with restarts = 3 });
+      ("islands", d, islands);
+      ("island count", islands, { islands with islands = 3 });
+      ("migration interval", islands, { islands with migration_interval = 9 });
+      ("migration count", islands, { islands with migration_count = 3 });
+      ("robust", d, robust);
+      ( "robust model",
+        robust,
+        with_robust (fun r ->
+            {
+              r with
+              Synthesis.model = Mm_energy.Fleet_sim.Dirichlet { concentration = 6.0 };
+            }) );
+      ("robust samples", robust, with_robust (fun r -> { r with Synthesis.samples = 65 }));
+      ( "robust objective",
+        robust,
+        with_robust (fun r -> { r with Synthesis.objective = Fitness.Expected_lifetime }) );
+      ( "robust battery",
+        robust,
+        with_robust (fun r ->
+            {
+              r with
+              Synthesis.battery =
+                Mm_energy.Battery.make ~capacity_ah:0.7 ~voltage:3.7 ~peukert:1.05
+                  ~rated_hours:5.0 ();
+            }) );
+    ]
+  in
+  List.iter
+    (fun (name, base, other) ->
+      Alcotest.(check bool)
+        (name ^ " changes the fingerprint")
+        false
+        (String.equal (Synthesis.config_fingerprint base) (Synthesis.config_fingerprint other)))
+    changed;
+  List.iter
+    (fun (name, other) ->
+      Alcotest.(check string)
+        (name ^ " leaves the fingerprint")
+        (Synthesis.config_fingerprint d) (Synthesis.config_fingerprint other))
+    [
+      ("jobs", { d with jobs = 4 });
+      ("audit", { d with audit = true });
+      ("topology without islands", { d with migration_interval = 9; migration_count = 3 });
+      ( "point robust model",
+        { d with robust = Some { robust_usage with model = Mm_energy.Fleet_sim.Point } } );
+    ]
 
 let () =
   Alcotest.run "checkpoint-resume"
@@ -403,5 +598,13 @@ let () =
         [
           Alcotest.test_case "resume at every completed run" `Quick
             test_experiment_resume_every_run;
+          Alcotest.test_case "rejects another configuration" `Quick
+            test_experiment_rejects_other_config;
+        ] );
+      ( "config",
+        [
+          Alcotest.test_case "fingerprint pinned strings" `Quick test_fingerprint_pinned;
+          Alcotest.test_case "fingerprint sensitive to every trajectory field" `Quick
+            test_fingerprint_sensitivity;
         ] );
     ]

@@ -49,7 +49,7 @@ let test_probability_weighting_helps_on_average () =
     (fun i ->
       let spec = Random_system.mul i in
       let comparison =
-        Experiment.compare ~ga:quick_ga ~spec ~runs:2 ~seed:100 ()
+        Experiment.compare ~config:(quick_config ()) ~spec ~runs:2 ~seed:100 ()
       in
       total_base := !total_base +. comparison.Experiment.without_probabilities.Experiment.power.Stats.mean;
       total_prop := !total_prop +. comparison.Experiment.with_probabilities.Experiment.power.Stats.mean)
@@ -116,7 +116,7 @@ let test_smartphone_quick_synthesis () =
 
 let test_experiment_comparison_structure () =
   let spec = Random_system.mul 5 in
-  let comparison = Experiment.compare ~ga:quick_ga ~spec ~runs:3 ~seed:7 () in
+  let comparison = Experiment.compare ~config:(quick_config ()) ~spec ~runs:3 ~seed:7 () in
   let arm = comparison.Experiment.with_probabilities in
   Alcotest.(check int) "three runs" 3 arm.Experiment.power.Stats.n;
   Alcotest.(check bool) "best <= mean" true

@@ -67,6 +67,7 @@ let summaries_eq a b = List.length a = List.length b && List.for_all2 run_summar
 let state_eq (a : Experiment.state) (b : Experiment.state) =
   a.Experiment.seed = b.Experiment.seed
   && a.runs = b.runs
+  && a.fingerprint = b.fingerprint
   && summaries_eq a.baseline_done b.baseline_done
   && summaries_eq a.proposed_done b.proposed_done
 
@@ -152,10 +153,11 @@ let run_summary_gen =
 
 let state_gen =
   Gen.map
-    (fun (seed, runs, baseline_done, proposed_done) ->
-      { Experiment.seed; runs; baseline_done; proposed_done })
+    (fun ((seed, runs, fingerprint), baseline_done, proposed_done) ->
+      { Experiment.seed; runs; fingerprint; baseline_done; proposed_done })
     Gen.(
-      quad int (int_range 1 6)
+      triple
+        (triple int (int_range 1 6) (option string_printable))
         (list_size (int_range 0 4) run_summary_gen)
         (list_size (int_range 0 4) run_summary_gen))
 
@@ -251,7 +253,13 @@ let replace ~needle ~by haystack =
 let sample_doc () =
   Snapshot.to_string ~spec
     (Snapshot.Compare
-       { Experiment.seed = 7; runs = 3; baseline_done = []; proposed_done = [] })
+       {
+         Experiment.seed = 7;
+         runs = 3;
+         fingerprint = Some "w=u fp";
+         baseline_done = [];
+         proposed_done = [];
+       })
 
 let test_version_mismatch () =
   let doc = sample_doc () in
@@ -279,7 +287,8 @@ let with_cache_hits doc =
 let test_version_1_accepted () =
   (* Documents written by earlier builds must still load: version 1 (no
      islands field existed), and version 2 with the [cache-hits]
-     counters that are no longer written.  The current writer's own
+     counters that are no longer written, and compare payloads without
+     the config fingerprint.  The current writer's own
      output rides along, so a reader that required [cache-hits] again
      would fail here. *)
   let synth =
@@ -318,6 +327,7 @@ let test_version_1_accepted () =
       {
         Experiment.seed = 7;
         runs = 3;
+        fingerprint = Some "w=u fp";
         baseline_done =
           [
             {
@@ -346,6 +356,11 @@ let test_version_1_accepted () =
       ("current compare", compare, current compare);
       ("synth with cache-hits", synth, with_cache_hits (current synth));
       ("compare with cache-hits", compare, with_cache_hits (current compare));
+      ( "compare without a config fingerprint",
+        (match compare with
+        | Snapshot.Compare st -> Snapshot.Compare { st with fingerprint = None }
+        | Snapshot.Synth _ -> assert false),
+        replace ~needle:"(config \"w=u fp\")" ~by:"" (current compare) );
     ];
   let cache_hits doc =
     List.length
@@ -430,7 +445,7 @@ let rec rmtree path =
 
 let marked seed =
   Snapshot.Compare
-    { Experiment.seed; runs = 1; baseline_done = []; proposed_done = [] }
+    { Experiment.seed; runs = 1; fingerprint = None; baseline_done = []; proposed_done = [] }
 
 let seed_of = function
   | Snapshot.Compare st -> st.Experiment.seed
