@@ -383,7 +383,9 @@ let ablation_dvs_strategy _options =
   Format.printf "@.-- Ablation F: DVS slack-distribution strategy --@.";
   (* Fixed mapping (the greedy anchor) so this isolates the voltage
      scaler: per-unit greedy gradient (PV-DVS style) vs the uniform EVEN
-     baseline it was measured against. *)
+     baseline it was measured against.  Scored through the seed oracles,
+     which keep the EVEN strategy; the greedy column is bit-identical to
+     production's (test_eval_kernels). *)
   let t =
     Table.create ~title:"dynamic energy of the anchor mapping under each scaler"
       ~columns:[ "Benchmark"; "no DVS p̄ (mW)"; "EVEN p̄ (mW)"; "greedy p̄ (mW)" ]
@@ -394,14 +396,13 @@ let ablation_dvs_strategy _options =
       match Synthesis.greedy_timing_anchor spec with
       | None -> ()
       | Some genome ->
-        let power dvs =
-          (Fitness.evaluate { Fitness.default_config with Fitness.dvs } spec genome)
+        let power ?strategy dvs =
+          (Fitness_oracle.evaluate ?strategy { Fitness.default_config with Fitness.dvs }
+             spec genome)
             .Fitness.true_power
         in
         let nominal = power Fitness.No_dvs in
-        let even =
-          power (Fitness.Dvs { Scaling.default_config with Scaling.strategy = Scaling.Even_slack })
-        in
+        let even = power ~strategy:Scaling_oracle.Even_slack (Fitness.Dvs Scaling.default_config) in
         let greedy = power (Fitness.Dvs Scaling.default_config) in
         Table.add_row t
           [

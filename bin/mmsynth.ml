@@ -1123,64 +1123,6 @@ let pareto_cmd =
     (Cmd.info "pareto" ~doc:"Sweep hardware-area budgets and report the trade-off curve.")
     term
 
-(* --- robustness -------------------------------------------------------------- *)
-
-let strength_arg =
-  Arg.(
-    value & opt float 0.3
-    & info [ "strength" ] ~docv:"S"
-        ~doc:"Log-normal σ of the per-mode probability perturbation.")
-
-let samples_arg =
-  Arg.(
-    value & opt int 1000
-    & info [ "samples" ] ~docv:"N" ~doc:"Perturbed usage profiles to sample.")
-
-let robustness name seed (config : Synthesis.config) samples strength =
-  let* spec = spec_of_benchmark name in
-  (* Synthesise both arms, then stress them under the same perturbed
-     usage profiles. *)
-  let run weighting =
-    let config = { config with fitness = { config.fitness with Fitness.weighting } } in
-    Synthesis.run ~config ~spec ~seed ()
-  in
-  let baseline = run Fitness.Uniform and proposed = run Fitness.True_probabilities in
-  let c =
-    Mm_cosynth.Sensitivity.compare_mappings ~samples ~strength ~spec
-      ~baseline:baseline.Synthesis.eval.Fitness.mapping
-      ~proposed:proposed.Synthesis.eval.Fitness.mapping ~seed:(seed + 1) ()
-  in
-  let pp name (r : Mm_cosynth.Sensitivity.report) =
-    Format.printf
-      "%s: nominal %.4g mW; under drift mean %.4g ±%.2g, range [%.4g, %.4g] mW@." name
-      (r.Mm_cosynth.Sensitivity.nominal *. 1e3)
-      (r.Mm_cosynth.Sensitivity.mean *. 1e3)
-      (r.Mm_cosynth.Sensitivity.std *. 1e3)
-      (r.Mm_cosynth.Sensitivity.best *. 1e3)
-      (r.Mm_cosynth.Sensitivity.worst *. 1e3)
-  in
-  Format.printf "usage-profile drift: %d samples, strength %.2f@." samples strength;
-  pp "baseline (probabilities neglected)" c.Mm_cosynth.Sensitivity.baseline;
-  pp "proposed (probabilities considered)" c.Mm_cosynth.Sensitivity.proposed;
-  Format.printf "proposed wins under %d of %d perturbed profiles (%.1f%%)@."
-    c.Mm_cosynth.Sensitivity.wins samples
-    (100.0 *. float_of_int c.Mm_cosynth.Sensitivity.wins /. float_of_int samples);
-  Ok ()
-
-let robustness_cmd =
-  let term =
-    Term.(
-      term_result
-        (const robustness $ benchmark_arg $ seed_arg $ dvs_config_term $ samples_arg
-       $ strength_arg))
-  in
-  Cmd.v
-    (Cmd.info "robustness"
-       ~doc:
-         "Stress both experiment arms under perturbed usage profiles: does the \
-          probability-aware design survive user-to-user variation?")
-    term
-
 (* --- frontier --------------------------------------------------------------- *)
 
 let frontier name seed fitness generations =
@@ -1217,48 +1159,6 @@ let frontier_cmd =
   Cmd.v
     (Cmd.info "frontier"
        ~doc:"Multi-objective synthesis (NSGA-II): the power/area trade-off in one run.")
-    term
-
-(* --- simulate --------------------------------------------------------------- *)
-
-let horizon_arg =
-  Arg.(
-    value & opt float 10_000.0
-    & info [ "horizon" ] ~docv:"T" ~doc:"Simulated operational time (seconds).")
-
-let simulate name seed config horizon =
-  let* spec = spec_of_benchmark name in
-  let result = Synthesis.run ~config ~spec ~seed () in
-  let omsm = Spec.omsm spec in
-  let mode_powers = result.Synthesis.eval.Fitness.mode_powers in
-  let rng = Mm_util.Prng.create ~seed:(seed + 1) in
-  let sim = Mm_energy.Trace_sim.simulate ~omsm ~mode_powers ~horizon rng in
-  Format.printf "synthesised implementation, then simulated %.4g s of usage:@." horizon;
-  List.iter
-    (fun mode ->
-      let id = Mode.id mode in
-      Format.printf "  %-34s published Ψ=%-6.3f simulated Ψ=%-6.3f@." (Mode.name mode)
-        (Mode.probability mode)
-        sim.Mm_energy.Trace_sim.empirical_probability.(id))
-    (Omsm.modes omsm);
-  Format.printf "mode changes: %d@." sim.Mm_energy.Trace_sim.n_transitions;
-  Format.printf "analytic average power (Eq. 1): %.4g mW@."
-    (Synthesis.average_power result *. 1e3);
-  Format.printf "empirical average power:        %.4g mW@."
-    (sim.Mm_energy.Trace_sim.empirical_power *. 1e3);
-  Ok ()
-
-let simulate_cmd =
-  let term =
-    Term.(
-      term_result
-        (const simulate $ benchmark_arg $ seed_arg $ dvs_config_term $ horizon_arg))
-  in
-  Cmd.v
-    (Cmd.info "simulate"
-       ~doc:
-         "Synthesise, then validate the analytic power figure against a simulated \
-          usage trace.")
     term
 
 (* --- fleet ------------------------------------------------------------------- *)
@@ -1586,6 +1486,6 @@ let () =
        (Cmd.group ~default info
           [
             show_cmd; check_cmd; synth_cmd; compare_cmd; anneal_cmd; pareto_cmd;
-            frontier_cmd; robustness_cmd; gantt_cmd; simulate_cmd; fleet_cmd;
+            frontier_cmd; gantt_cmd; fleet_cmd;
             export_cmd; export_json_cmd; dot_cmd; client_cmd;
           ]))

@@ -57,18 +57,19 @@ let () =
     (Stats.percent_reduction ~from:(p base_dvs) ~to_:(p prop_dvs))
     (Stats.percent_reduction ~from:(p base_nodvs) ~to_:(p prop_dvs));
   (* Validate the analytic Eq. (1) figure against a simulated usage
-     trace of the final implementation. *)
-  let omsm = Mm_cosynth.Spec.omsm spec in
-  let mode_powers = prop_dvs.Synthesis.eval.F.mode_powers in
-  let rng = Mm_util.Prng.create ~seed:2026 in
+     trace of the final implementation: one device of the fleet model,
+     at the published probabilities. *)
   let sim =
-    Mm_energy.Trace_sim.simulate ~omsm ~mode_powers ~horizon:100_000.0 rng
+    Mm_energy.Fleet_sim.compile ~omsm:(Mm_cosynth.Spec.omsm spec)
+      ~mode_powers:prop_dvs.Synthesis.eval.F.mode_powers
+  in
+  let empirical_power, transitions =
+    Mm_energy.Fleet_sim.simulate_device sim ~model:Mm_energy.Fleet_sim.Point
+      ~horizon:100_000.0 (Mm_util.Prng.create ~seed:2026)
   in
   Format.printf
     "trace simulation (%d mode changes over 1e5 time units): empirical %.4g mW vs analytic %.4g mW@."
-    sim.Mm_energy.Trace_sim.n_transitions
-    (sim.Mm_energy.Trace_sim.empirical_power *. 1e3)
-    (p prop_dvs *. 1e3);
+    transitions (empirical_power *. 1e3) (p prop_dvs *. 1e3);
   (* What the reduction buys in the unit users care about. *)
   let cell = Mm_energy.Battery.phone_cell in
   Format.printf

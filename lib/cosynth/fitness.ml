@@ -186,16 +186,13 @@ let config_fingerprint config =
     | List_scheduler.Topological -> 2
   in
   match config.dvs with
-  | No_dvs -> [| policy; 0; 0; 0; 0 |]
+  | No_dvs -> [| policy; 0; 0; 0 |]
   | Dvs c ->
     [|
       policy;
       1;
       Bool.to_int c.Scaling.scale_software;
       Bool.to_int c.Scaling.scale_hardware;
-      (match c.Scaling.strategy with
-      | Scaling.Greedy_gradient -> 0
-      | Scaling.Even_slack -> 1);
     |]
 
 let mobility_key ~mode row = Array.append [| mode |] row

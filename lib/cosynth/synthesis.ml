@@ -78,6 +78,12 @@ let robust_psi_stream = 7919
    recomputes (Experiment) re-derive them exactly rather than carrying
    them in snapshots. *)
 let effective_fitness_config config ~spec ~seed =
+  (* The fingerprint reads the robust objective off [config.robust]
+     only, so a preset one would run unfingerprinted. *)
+  if Option.is_some config.fitness.Fitness.robust then
+    invalid_arg
+      "Synthesis: set the robust objective through Synthesis.config.robust, not \
+       fitness.robust";
   if not (robust_active config) then config.fitness
   else
     match config.robust with
@@ -153,11 +159,10 @@ let config_fingerprint config =
     match config.fitness.Fitness.dvs with
     | Fitness.No_dvs -> "none"
     | Fitness.Dvs sc ->
-      Printf.sprintf "%b/%b/%s" sc.Mm_dvs.Scaling.scale_software
+      (* The literal "gradient" keeps every pinned fingerprint and every
+         DVS checkpoint on disk valid. *)
+      Printf.sprintf "%b/%b/gradient" sc.Mm_dvs.Scaling.scale_software
         sc.Mm_dvs.Scaling.scale_hardware
-        (match sc.Mm_dvs.Scaling.strategy with
-        | Mm_dvs.Scaling.Greedy_gradient -> "gradient"
-        | Mm_dvs.Scaling.Even_slack -> "even")
   in
   let policy =
     match config.fitness.Fitness.scheduler_policy with

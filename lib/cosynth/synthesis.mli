@@ -193,7 +193,9 @@ val effective_fitness_config : config -> spec:Spec.t -> seed:int -> Fitness.conf
     and model, so callers replaying a run's genomes — the experiment
     harness, the auditor — reproduce the exact fitness).  Raises
     [Invalid_argument] on a malformed model or non-positive sample
-    count. *)
+    count, and when [config.fitness.robust] is already set: the robust
+    objective is requested through [config.robust], which is what
+    {!config_fingerprint} reads. *)
 
 val run :
   ?config:config ->

@@ -8,12 +8,9 @@ module Tech_lib = Mm_arch.Tech_lib
 module Schedule = Mm_sched.Schedule
 module Resource = Mm_sched.Resource
 
-type strategy = Greedy_gradient | Even_slack
+type config = { scale_software : bool; scale_hardware : bool }
 
-type config = { scale_software : bool; scale_hardware : bool; strategy : strategy }
-
-let default_config =
-  { scale_software = true; scale_hardware = true; strategy = Greedy_gradient }
+let default_config = { scale_software = true; scale_hardware = true }
 
 type hw_segment = {
   pe : int;
@@ -718,62 +715,13 @@ let greedy_scale_flat d =
       else continue_ := false
   done
 
-let even_slack_scale_flat d =
-  let ws = d.ws in
-  let slowest_within table factor =
-    (* Last fitting level of the descending table = the seed's
-       fold over [Voltage.levels]; Vmax (factor 1) always fits. *)
-    let best = ref 0 in
-    Array.iteri (fun k f -> if f <= factor +. 1e-12 then best := k) table.delay;
-    !best
-  in
-  let apply factor =
-    for u = 0 to d.n - 1 do
-      let rail_i = ws.u_rail.(u) in
-      if rail_i >= 0 then begin
-        let table = d.rails.(rail_i) in
-        let k = slowest_within table factor in
-        ws.u_level.(u) <- k;
-        ws.u_dur.(u) <- ws.u_nominal.(u) *. table.delay.(k)
-      end
-    done
-  in
-  let feasible_at factor =
-    apply factor;
-    forward_flat d;
-    all_deadlines_met_flat d
-  in
-  let max_factor = ref 1.0 in
-  for u = 0 to d.n - 1 do
-    let rail_i = ws.u_rail.(u) in
-    if rail_i >= 0 then begin
-      let delay = d.rails.(rail_i).delay in
-      max_factor := Float.max !max_factor delay.(Array.length delay - 1)
-    end
-  done;
-  let rec bisect lo hi k =
-    (* Invariant: lo feasible, hi not (or untested upper bound). *)
-    if k = 0 then lo
-    else
-      let mid = (lo +. hi) /. 2.0 in
-      if feasible_at mid then bisect mid hi (k - 1) else bisect lo mid (k - 1)
-  in
-  let best =
-    if feasible_at !max_factor then !max_factor else bisect 1.0 !max_factor 40
-  in
-  ignore (feasible_at best)
-
 let run ?(config = default_config) ?workspace ?dispatch ~graph ~arch ~tech ~schedule () =
   Mm_obs.Probe.run p_run @@ fun () ->
   let ws = match workspace with Some ws -> ws | None -> create_workspace () in
   let d = build_flat ws ~config ~graph ~arch ~tech ~dispatch ~schedule in
   forward_flat d;
   let feasible = all_deadlines_met_flat d in
-  if feasible then begin
-    match config.strategy with
-    | Greedy_gradient -> greedy_scale_flat d
-    | Even_slack -> even_slack_scale_flat d
-  end;
+  if feasible then greedy_scale_flat d;
   (* A scaled unit's energy: [Voltage.scaled_energy] at its level. *)
   let scaled_energy u =
     ws.u_power.(u) *. ws.u_nominal.(u) *. d.rails.(ws.u_rail.(u)).energy.(ws.u_level.(u))

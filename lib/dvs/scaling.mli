@@ -16,29 +16,16 @@
     backward pass from deadlines, so every accepted step keeps the whole
     mode schedule feasible. *)
 
-type strategy =
-  | Greedy_gradient
-      (** The PV-DVS-style heuristic: repeatedly lower the voltage of the
-          unit with the best energy-gain/added-delay ratio (default). *)
-  | Even_slack
-      (** The naive baseline PV-DVS was measured against: one uniform
-          slowdown factor for every scalable unit, the largest that still
-          meets all deadlines (found by bisection), then the slowest
-          discrete level within that factor per unit.  Ignores power
-          variation between tasks — the ablation bench quantifies what
-          the gradient heuristic buys. *)
-
 type config = {
   scale_software : bool;  (** Scale tasks on DVS software PEs. *)
   scale_hardware : bool;
       (** Apply the Fig. 5 transform and scale DVS hardware components;
           disabling this reproduces the software-only DVS of earlier work
           (used by the ablation bench). *)
-  strategy : strategy;
 }
 
 val default_config : config
-(** Both enabled, greedy gradient. *)
+(** Both enabled. *)
 
 type hw_segment = {
   pe : int;

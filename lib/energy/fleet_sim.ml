@@ -75,7 +75,7 @@ let normalise psi =
 
 (* One Ψ draw for a device.  [Point] consumes no randomness, so a
    point-model device stream is bit-identical to handing the same
-   generator to [Trace_sim.simulate].  [Holding_jitter] perturbs holding
+   generator to the single-device oracle walk.  [Holding_jitter] perturbs holding
    times, not the embedded chain; its long-run profile is
    Ψ'_i ∝ Ψ_i·j_i with j_i the per-mode log-normal factor, which is what
    this returns so robust fitness sees the same distribution the walk
@@ -110,9 +110,17 @@ type sim = {
   power : float array;  (* Power.total per mode *)
   base_psi : float array;
   pi : float array;  (* stationary distribution of the embedded chain *)
-  base_holding : float array;  (* Trace_sim.holding_times_for *)
+  base_holding : float array;  (* holding_of_psi pi base_psi *)
   dsts : int array array;  (* outgoing destinations, transition-list order *)
 }
+
+(* Mean residence times h_i = Ψ_i / π_i, with π the stationary
+   distribution of the embedded jump chain: the semi-Markov walk then
+   spends the long-run share Ψ_i in mode i.  A mode with π_i = 0 or
+   Ψ_i = 0 gets a vanishing holding time. *)
+let holding_of_psi pi psi =
+  Array.init (Array.length pi) (fun i ->
+      if pi.(i) <= 0.0 then 1e-9 else Float.max 1e-9 (psi.(i) /. pi.(i)))
 
 let compile ~omsm ~mode_powers =
   let n = Omsm.n_modes omsm in
@@ -156,13 +164,9 @@ let compile ~omsm ~mode_powers =
     power = Array.map Power.total mode_powers;
     base_psi;
     pi;
-    base_holding = Trace_sim.holding_times_for omsm;
+    base_holding = holding_of_psi pi base_psi;
     dsts;
   }
-
-let holding_of_psi sim psi =
-  Array.init sim.n_modes (fun i ->
-      if sim.pi.(i) <= 0.0 then 1e-9 else Float.max 1e-9 (psi.(i) /. sim.pi.(i)))
 
 (* Per-device holding times.  Draw order matches [sample_psi] so the
    usage models consume the stream identically whether they drive the
@@ -174,7 +178,7 @@ let device_holding sim model rng =
     Array.map
       (fun h -> h *. exp ((sigma *. Prng.gaussian rng) -. (0.5 *. sigma *. sigma)))
       sim.base_holding
-  | Dirichlet _ | Mixture _ -> holding_of_psi sim (sample_psi model ~base:sim.base_psi rng)
+  | Dirichlet _ | Mixture _ -> holding_of_psi sim.pi (sample_psi model ~base:sim.base_psi rng)
 
 (* SplitMix64, stepped on a bare word: [Prng.bits64] is [mix64] of the
    word after one Weyl step, and [unit_of] is the [\[0, 1)] draw that
@@ -196,7 +200,7 @@ let[@inline] unit_of word =
   Int64.to_float (Int64.shift_right_logical (mix64 word) 11) /. 9007199254740992.0
 
 (* The walk is a float-for-float transliteration of
-   [Trace_sim.simulate]'s inner loop (same exponential expression, same
+   the oracle walk's inner loop (same exponential expression, same
    accumulation order, a [Prng.int] draw over the precompiled
    destination array standing in for [Prng.pick] over the filtered
    transition list), so a point-model device with stream 0 reproduces

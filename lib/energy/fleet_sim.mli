@@ -1,9 +1,9 @@
 (** Fleet-scale Monte Carlo usage simulation.
 
-    [Trace_sim] walks one device's semi-Markov mode sequence;
-    production questions are about the *fleet*: what does the
+    One device's usage is a semi-Markov walk over the OMSM's mode
+    sequence; production questions are about the *fleet*: what does the
     battery-life distribution look like across millions of devices whose
-    usage profiles differ?  This module scales the single walk up:
+    usage profiles differ?  This module runs that walk at fleet scale:
 
     - every device [i] gets its own SplitMix64 stream derived from the
       run seed ({!Mm_util.Prng.stream}), a pure function of (seed, i) —
@@ -16,13 +16,16 @@
       and p1/p10/p50/p90/p99 nearest-rank percentiles via
       {!Battery.lifetime_hours} — not just the Eq. 1 average.
 
-    The inner walk is a float-for-float transliteration of
-    {!Trace_sim.simulate}, written as one allocation-free loop that
-    steps the device's SplitMix64 word in a local with
-    {!Mm_util.Prng.bits64}'s arithmetic: a 1-device point-model fleet
-    is segment-for-segment and bit-for-bit identical to the oracle and
-    leaves the generator in the oracle's state (held by the differential
-    tests in [test_fleet.ml]). *)
+    The inner walk is a float-for-float transliteration of the
+    single-device oracle walk kept in the test-only [mm_oracle] library,
+    written as one allocation-free loop that steps the device's
+    SplitMix64 word in a local with {!Mm_util.Prng.bits64}'s
+    arithmetic: a 1-device point-model fleet is segment-for-segment and
+    bit-for-bit identical to the oracle and leaves the generator in the
+    oracle's state (held by the differential tests in [test_fleet.ml]).
+    So a one-device fleet ([mmsynth synth --fleet --devices 1
+    --fleet-horizon T]) is the trace-driven check of Eq. (1): {!pp}
+    prints its empirical power against the analytic one. *)
 
 type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
@@ -91,8 +94,8 @@ val simulate_device :
   float * int
 (** One device walk; returns (empirical average power, transition
     count).  [on_segment] observes the chronological visit log —
-    segment-for-segment identical to {!Trace_sim.simulate}'s [segments]
-    under the point model with the same generator.  The generator ends
+    segment-for-segment identical to the oracle walk's visit log under
+    the point model with the same generator.  The generator ends
     where the equivalent {!Mm_util.Prng.float}/{!Mm_util.Prng.int}
     calls would leave it.  Without [on_segment], a point-model walk
     allocates nothing per transition.  Raises [Invalid_argument] on a

@@ -6,9 +6,9 @@
 # Usage: cli_flags.sh path/to/mmsynth.exe
 set -eu
 exe=$1
-for verb in show check synth compare anneal pareto frontier robustness gantt \
-  simulate fleet export export-json dot client:submit client:status \
-  client:cancel client:list client:watch client:ping client:shutdown; do
+for verb in show check synth compare anneal pareto frontier gantt fleet \
+  export export-json dot client:submit client:status client:cancel \
+  client:list client:watch client:ping client:shutdown; do
   words=$(echo "$verb" | tr ':' ' ')
   # Option entries sit at a 7-column indent; their docs sit deeper.
   # shellcheck disable=SC2086 # "client submit" is two words

@@ -50,13 +50,15 @@ let mode_mobility spec mapping mode =
   in
   Mobility.compute graph ~exec_time ~comm_time ~horizon:(Mode.period mode_rec)
 
-let scaling_of config ~graph ~arch ~tech ~schedule =
+let scaling_of ?strategy config ~graph ~arch ~tech ~schedule =
   match config.dvs with
   | No_dvs -> Scaling_oracle.nominal ~graph ~arch ~tech ~schedule ()
   | Dvs scaling_config ->
-    Scaling_oracle.run ~config:scaling_config ~graph ~arch ~tech ~schedule ()
+    Scaling_oracle.run ?strategy ~config:scaling_config ~graph ~arch ~tech ~schedule ()
 
-let evaluate_mapping config spec mapping =
+(* [strategy] (default the greedy gradient) picks the oracle's DVS
+   slack strategy when [config.dvs] is on. *)
+let evaluate_mapping ?strategy config spec mapping =
   Mm_obs.Probe.run p_eval @@ fun () ->
   let omsm = Spec.omsm spec in
   let arch = Spec.arch spec in
@@ -85,7 +87,7 @@ let evaluate_mapping config spec mapping =
     Mm_obs.Probe.run p_dvs (fun () ->
         Array.init n_modes (fun mode ->
             let graph = Mode.graph (Omsm.mode omsm mode) in
-            scaling_of config ~graph ~arch ~tech ~schedule:schedules.(mode)))
+            scaling_of ?strategy config ~graph ~arch ~tech ~schedule:schedules.(mode)))
   in
   let mode_powers =
     Mm_obs.Probe.run p_power (fun () ->
@@ -95,5 +97,5 @@ let evaluate_mapping config spec mapping =
   in
   assemble config spec mapping ~alloc ~mobilities ~schedules ~scalings ~mode_powers
 
-let evaluate config spec genome =
-  evaluate_mapping config spec (Mapping.of_genome spec genome)
+let evaluate ?strategy config spec genome =
+  evaluate_mapping ?strategy config spec (Mapping.of_genome spec genome)

@@ -4,7 +4,10 @@
    epsilon-chained tie-breaking.  The flat fast path must reproduce its
    choices — and hence every output float — exactly (test_dvs.ml).  It
    records under the production probe name, so the [bench eval]
-   harness attributes per-phase time to either implementation. *)
+   harness attributes per-phase time to either implementation.  It also
+   keeps the EVEN slack baseline ([run ~strategy:Even_slack]), which
+   production does not carry: bench ablation F and test_dvs measure the
+   greedy gradient against it. *)
 
 module Graph = Mm_taskgraph.Graph
 module Task = Mm_taskgraph.Task
@@ -22,6 +25,18 @@ let deadline_of_task graph period task_id =
   | Some d -> Float.min d period
 
 let p_run = Mm_obs.Probe.create ~fine:true "dvs/scale"
+
+(* How the slack is spent.  Production runs only the greedy gradient. *)
+type strategy =
+  | Greedy_gradient
+      (** The PV-DVS-style heuristic: repeatedly lower the voltage of the
+          unit with the best energy-gain/added-delay ratio. *)
+  | Even_slack
+      (** The naive baseline PV-DVS was measured against: one uniform
+          slowdown factor for every scalable unit, the largest that still
+          meets all deadlines (found by bisection), then the slowest
+          discrete level within that factor per unit.  Ignores power
+          variation between tasks. *)
 
 type unit_kind =
   | Task_unit of int
@@ -457,10 +472,11 @@ let assemble ~graph ~arch ~(schedule : Schedule.t) dag feasible =
   in
   (task_voltages, task_energy, stretched_finish, List.rev !hw_segments, comm_energy, feasible)
 
-let run ?(config = default_config) ~graph ~arch ~tech ~schedule () =
+let run ?(strategy = Greedy_gradient) ?(config = default_config) ~graph ~arch ~tech
+    ~schedule () =
   Mm_obs.Probe.run p_run @@ fun () ->
   let dag = build_dag ~config ~graph ~arch ~tech ~schedule in
-  let feasible = scale ~strategy:config.strategy dag in
+  let feasible = scale ~strategy dag in
   let task_voltages, task_energy, stretched_finish, hw_segments, comm_energy, feasible =
     assemble ~graph ~arch ~schedule dag feasible
   in
@@ -505,5 +521,5 @@ let run ?(config = default_config) ~graph ~arch ~tech ~schedule () =
 
 let nominal ~graph ~arch ~tech ~schedule () =
   run
-    ~config:{ scale_software = false; scale_hardware = false; strategy = Greedy_gradient }
+    ~config:{ scale_software = false; scale_hardware = false }
     ~graph ~arch ~tech ~schedule ()

@@ -3,6 +3,7 @@ module Omsm = Mm_omsm.Omsm
 module Mode = Mm_omsm.Mode
 module Transition = Mm_omsm.Transition
 module Usage_profile = Mm_omsm.Usage_profile
+module Power = Mm_energy.Power
 
 type segment = { mode : int; enter : float; leave : float }
 

@@ -1,4 +1,6 @@
-(** Trace-driven validation of the analytic power model.
+(** Trace-driven validation of the analytic power model: the
+    single-device walk, kept as the oracle that
+    {!Mm_energy.Fleet_sim.simulate_device} must reproduce bit for bit.
 
     Eq. (1) computes average power analytically from the mode execution
     probabilities.  This simulator performs the complementary check: it
@@ -9,7 +11,9 @@
     {!holding_times_for}, the empirical figure converges to Eq. (1) as
     the horizon grows — the property test in [test_energy.ml] checks
     this, closing the loop with {!Mm_omsm.Usage_profile}, which goes the
-    opposite way (observations → probabilities). *)
+    opposite way (observations → probabilities).  The fleet kernel's
+    differential tests in [test_fleet.ml] hold it equal to this walk,
+    segment for segment. *)
 
 type segment = {
   mode : int;
@@ -36,7 +40,7 @@ val simulate :
   ?holding_times:float array ->
   ?start:int ->
   omsm:Mm_omsm.Omsm.t ->
-  mode_powers:Power.mode_power array ->
+  mode_powers:Mm_energy.Power.mode_power array ->
   horizon:float ->
   Mm_util.Prng.t ->
   result

@@ -494,7 +494,6 @@ let test_fingerprint_sensitivity () =
       ("dvs", d, dvs sc);
       ("dvs software", dvs sc, dvs { sc with Mm_dvs.Scaling.scale_software = false });
       ("dvs hardware", dvs sc, dvs { sc with Mm_dvs.Scaling.scale_hardware = false });
-      ("dvs strategy", dvs sc, dvs { sc with Mm_dvs.Scaling.strategy = Mm_dvs.Scaling.Even_slack });
       ( "scheduler policy",
         d,
         with_fitness (fun fc ->
@@ -561,6 +560,32 @@ let test_fingerprint_sensitivity () =
         { d with robust = Some { robust_usage with model = Mm_energy.Fleet_sim.Point } } );
     ]
 
+(* The fingerprint reads the robust objective off [config.robust]; one
+   preset on [config.fitness] would run under the stock fingerprint and
+   could resume the other objective's checkpoint, so it is refused. *)
+let test_preset_fitness_robust_refused () =
+  let spec = Mm_benchgen.Random_system.mul 1 in
+  let n_modes = Mm_omsm.Omsm.n_modes (Mm_cosynth.Spec.omsm spec) in
+  let config =
+    {
+      Synthesis.default_config with
+      fitness =
+        {
+          Fitness.default_config with
+          Fitness.robust =
+            Some
+              {
+                Fitness.psis = [| Array.make n_modes (1.0 /. float_of_int n_modes) |];
+                battery = Mm_energy.Battery.phone_cell;
+                objective = Fitness.Expected_lifetime;
+              };
+        };
+    }
+  in
+  match Synthesis.run ~config ~spec ~seed:1 () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "a robust objective preset on fitness.robust ran"
+
 let () =
   Alcotest.run "checkpoint-resume"
     [
@@ -606,5 +631,7 @@ let () =
           Alcotest.test_case "fingerprint pinned strings" `Quick test_fingerprint_pinned;
           Alcotest.test_case "fingerprint sensitive to every trajectory field" `Quick
             test_fingerprint_sensitivity;
+          Alcotest.test_case "preset fitness.robust refused" `Quick
+            test_preset_fitness_robust_refused;
         ] );
     ]

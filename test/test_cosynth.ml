@@ -775,58 +775,6 @@ let test_multi_objective_beats_single_point () =
   Alcotest.(check bool) "within 25% of the single-objective result" true
     (best_front_power <= Synthesis.average_power single *. 1.25)
 
-(* --- Sensitivity ---------------------------------------------------------------- *)
-
-module Sensitivity = Mm_cosynth.Sensitivity
-
-let test_sensitivity_zero_strength () =
-  let spec = two_mode_spec () in
-  let mapping = Mapping.of_arrays spec [| [| 0; 0; 0 |]; [| 0; 0; 0; 0 |] |] in
-  let r = Sensitivity.analyse ~samples:50 ~strength:0.0 ~spec ~mapping ~seed:1 () in
-  Alcotest.(check (float 1e-12)) "mean = nominal" r.Sensitivity.nominal r.Sensitivity.mean;
-  Alcotest.(check (float 1e-12)) "no spread" 0.0 r.Sensitivity.std
-
-let test_sensitivity_bounds () =
-  let spec = two_mode_spec () in
-  let mapping = Mapping.of_arrays spec [| [| 0; 1; 0 |]; [| 1; 0; 0; 0 |] |] in
-  let r = Sensitivity.analyse ~samples:500 ~strength:0.5 ~spec ~mapping ~seed:2 () in
-  Alcotest.(check bool) "best <= mean <= worst" true
-    (r.Sensitivity.best <= r.Sensitivity.mean +. 1e-12
-    && r.Sensitivity.mean <= r.Sensitivity.worst +. 1e-12);
-  (* Power stays within the per-mode extremes whatever the profile. *)
-  let eval = Fitness.evaluate_mapping Fitness.default_config spec mapping in
-  let totals = Array.map Mm_energy.Power.total eval.Fitness.mode_powers in
-  let lo = Array.fold_left Float.min infinity totals in
-  let hi = Array.fold_left Float.max 0.0 totals in
-  Alcotest.(check bool) "within mode-power extremes" true
-    (r.Sensitivity.best >= lo -. 1e-12 && r.Sensitivity.worst <= hi +. 1e-12)
-
-let test_sensitivity_nominal_matches_fitness () =
-  let spec = two_mode_spec () in
-  let mapping = Mapping.of_arrays spec [| [| 0; 1; 0 |]; [| 1; 0; 0; 0 |] |] in
-  let r = Sensitivity.analyse ~samples:10 ~spec ~mapping ~seed:3 () in
-  let eval = Fitness.evaluate_mapping Fitness.default_config spec mapping in
-  Alcotest.(check (float 1e-12)) "nominal = Eq. (1)" eval.Fitness.true_power
-    r.Sensitivity.nominal
-
-let test_sensitivity_comparison_paired () =
-  let spec = two_mode_spec () in
-  let a = Mapping.of_arrays spec [| [| 0; 0; 0 |]; [| 0; 0; 0; 0 |] |] in
-  let b = Mapping.of_arrays spec [| [| 0; 1; 0 |]; [| 1; 0; 0; 0 |] |] in
-  let c = Sensitivity.compare_mappings ~samples:200 ~spec ~baseline:a ~proposed:b ~seed:4 () in
-  Alcotest.(check int) "sample counts" 200 c.Sensitivity.baseline.Sensitivity.samples;
-  Alcotest.(check bool) "wins bounded" true (c.Sensitivity.wins <= 200);
-  (* b offloads work to the cheap ASIC in both modes: it should win under
-     essentially every profile. *)
-  Alcotest.(check bool) "dominant mapping wins everywhere" true (c.Sensitivity.wins = 200)
-
-let test_sensitivity_validation () =
-  let spec = two_mode_spec () in
-  let mapping = Mapping.of_arrays spec [| [| 0; 0; 0 |]; [| 0; 0; 0; 0 |] |] in
-  match Sensitivity.analyse ~samples:0 ~spec ~mapping ~seed:1 () with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "zero samples accepted"
-
 let () =
   Alcotest.run "mm_cosynth"
     [
@@ -908,13 +856,5 @@ let () =
         [
           Alcotest.test_case "front" `Slow test_multi_objective_front;
           Alcotest.test_case "vs single objective" `Slow test_multi_objective_beats_single_point;
-        ] );
-      ( "sensitivity",
-        [
-          Alcotest.test_case "zero strength" `Quick test_sensitivity_zero_strength;
-          Alcotest.test_case "bounds" `Quick test_sensitivity_bounds;
-          Alcotest.test_case "nominal = Eq.(1)" `Quick test_sensitivity_nominal_matches_fitness;
-          Alcotest.test_case "paired comparison" `Quick test_sensitivity_comparison_paired;
-          Alcotest.test_case "validation" `Quick test_sensitivity_validation;
         ] );
     ]

@@ -233,14 +233,18 @@ let test_scaling_multi_level_descent () =
 
 (* --- Even-slack baseline ----------------------------------------------------- *)
 
-let even_config = { Scaling.default_config with Scaling.strategy = Scaling.Even_slack }
+(* The EVEN baseline lives in the seed oracle only; its greedy
+   counterpart there is bit-identical to [Scaling.run] (heap-vs-reference
+   below). *)
+let even_run ~graph ~arch ~tech ~schedule =
+  Scaling_oracle.run ~strategy:Scaling_oracle.Even_slack ~graph ~arch ~tech ~schedule ()
 
 let test_even_slack_ample_slack_matches_greedy () =
   (* Period 1 s: both strategies drop everything to the bottom level. *)
   let graph = F.chain_graph () in
   let arch = F.arch () in
   let sched = schedule ~arch ~graph ~period:1.0 () in
-  let even = Scaling.run ~config:even_config ~graph ~arch ~tech:(F.tech arch) ~schedule:sched () in
+  let even = even_run ~graph ~arch ~tech:(F.tech arch) ~schedule:sched in
   Alcotest.(check (float 1e-12)) "quartered too" (chain_energy_at_vmax /. 4.0)
     even.Scaling.total_dyn_energy
 
@@ -252,7 +256,7 @@ let test_even_slack_wastes_discrete_slack () =
   let graph = F.chain_graph () in
   let arch = F.arch () in
   let sched = schedule ~arch ~graph ~period:80e-3 () in
-  let even = Scaling.run ~config:even_config ~graph ~arch ~tech:(F.tech arch) ~schedule:sched () in
+  let even = even_run ~graph ~arch ~tech:(F.tech arch) ~schedule:sched in
   let greedy = Scaling.run ~graph ~arch ~tech:(F.tech arch) ~schedule:sched () in
   Alcotest.(check (float 1e-12)) "even saves nothing" chain_energy_at_vmax
     even.Scaling.total_dyn_energy;
@@ -263,7 +267,7 @@ let test_even_slack_meets_deadlines () =
   let graph = F.fork_graph () in
   let arch = F.arch ~dvs_asic:true () in
   let sched = schedule ~arch ~graph ~mapping:[| 0; 1; 1; 0 |] ~period:0.2 () in
-  let even = Scaling.run ~config:even_config ~graph ~arch ~tech:(F.tech arch) ~schedule:sched () in
+  let even = even_run ~graph ~arch ~tech:(F.tech arch) ~schedule:sched in
   Alcotest.(check bool) "feasible" true even.Scaling.feasible;
   Array.iter
     (fun finish -> Alcotest.(check bool) "within period" true (finish <= 0.2 +. 1e-9))
@@ -290,7 +294,7 @@ let prop_greedy_never_worse_than_even =
              ~instances:(fun ~pe:_ ~ty:_ -> 2)
              ~period ())
       in
-      let even = Scaling.run ~config:even_config ~graph ~arch ~tech:(F.tech arch) ~schedule:sched () in
+      let even = even_run ~graph ~arch ~tech:(F.tech arch) ~schedule:sched in
       let greedy = Scaling.run ~graph ~arch ~tech:(F.tech arch) ~schedule:sched () in
       greedy.Scaling.total_dyn_energy <= even.Scaling.total_dyn_energy +. 1e-12)
 
@@ -484,7 +488,6 @@ let random_config rng =
   {
     Scaling.scale_software = Mm_util.Prng.int rng 4 > 0;
     scale_hardware = Mm_util.Prng.int rng 4 > 0;
-    strategy = (if Mm_util.Prng.bool rng then Scaling.Greedy_gradient else Scaling.Even_slack);
   }
 
 let check_equivalence ?dispatch ~config ~graph ~arch ~tech ~schedule () =
@@ -565,14 +568,11 @@ let test_heap_matches_reference_single_slot () =
              ~instances:(fun ~pe:_ ~ty:_ -> 1)
              ~period ())
       in
-      List.iter
-        (fun strategy ->
-          let config = { Scaling.default_config with Scaling.strategy } in
-          Alcotest.(check bool)
-            (Printf.sprintf "single slot, period %g" period)
-            true
-            (check_equivalence ~config ~graph ~arch ~tech ~schedule:sched ()))
-        [ Scaling.Greedy_gradient; Scaling.Even_slack ])
+      Alcotest.(check bool)
+        (Printf.sprintf "single slot, period %g" period)
+        true
+        (check_equivalence ~config:Scaling.default_config ~graph ~arch ~tech
+           ~schedule:sched ()))
     [ 10e-3 (* zero slack *); 15e-3; 1.0 (* bottom level *); 5e-3 (* infeasible *) ]
 
 (* Random per-(PE, type) instance counts in 1–3. *)

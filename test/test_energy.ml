@@ -85,9 +85,7 @@ let prop_average_between_extremes =
       let hi = Float.max (Power.total mp0) (Power.total mp1) in
       avg >= lo -. 1e-9 && avg <= hi +. 1e-9)
 
-(* --- Trace_sim ------------------------------------------------------------- *)
-
-module Trace_sim = Mm_energy.Trace_sim
+(* --- Trace_sim (the single-device oracle walk) ------------------------------ *)
 
 let two_mode_spec () =
   F.spec_of_graphs ~probabilities:[| 0.2; 0.8 |] [ F.chain_graph (); F.chain_graph () ]

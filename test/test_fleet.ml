@@ -3,10 +3,12 @@
 
    The load-bearing properties, each held by a fuzz or bit-level check:
    - a 1-device point-model or holding-jitter fleet is segment-for-
-     segment and float-bit identical to the seed oracle
-     [Trace_sim.simulate], and leaves its generator in the oracle's
-     state (the walk steps SplitMix64 inline, so this is what holds the
-     copy equal to [Prng]);
+     segment and float-bit identical to the oracle walk
+     [Trace_sim.simulate] of mm_oracle, and leaves its generator in the
+     oracle's state (the walk steps SplitMix64 inline, so this is what
+     holds the copy equal to [Prng]);
+   - σ = 0 jitter draws the published Ψ, and the robust objective over
+     jitter draws stays within a mapping's per-mode power extremes;
    - a point-model walk allocates nothing per transition;
    - the fleet mean power converges to the analytic Eq. (1) figure;
    - every report bit is invariant under --jobs and --batch, and the
@@ -15,7 +17,6 @@
      never raises on a synthesizable benchmark. *)
 
 module Fleet_sim = Mm_energy.Fleet_sim
-module Trace_sim = Mm_energy.Trace_sim
 module Battery = Mm_energy.Battery
 module Power = Mm_energy.Power
 module Prng = Mm_util.Prng
@@ -440,6 +441,54 @@ let test_robust_power () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "percentile 0 accepted"
 
+(* Ψ drift through the fleet model's log-normal jitter: σ = 0 is the
+   published profile, and whatever the draws, the robust objective of a
+   fixed mapping stays within its per-mode power extremes. *)
+let test_jitter_zero_is_published () =
+  let spec = two_mode_spec () in
+  let omsm = Spec.omsm spec in
+  let base =
+    Array.init (Mm_omsm.Omsm.n_modes omsm) (fun i ->
+        Mm_omsm.Mode.probability (Mm_omsm.Omsm.mode omsm i))
+  in
+  let rng = Prng.create ~seed:1 in
+  for _ = 1 to 50 do
+    Alcotest.(check (array (float 1e-12))) "published Ψ" base
+      (Fleet_sim.sample_psi (Fleet_sim.Holding_jitter { sigma = 0.0 }) ~base rng)
+  done
+
+let test_jitter_robust_power_bounds () =
+  let spec = two_mode_spec () in
+  let mapping = Mapping.of_arrays spec [| [| 0; 1; 0 |]; [| 1; 0; 0 |] |] in
+  let eval = Fitness.evaluate_mapping Fitness.default_config spec mapping in
+  let totals = Array.map Power.total eval.Fitness.mode_powers in
+  let lo = Array.fold_left Float.min infinity totals in
+  let hi = Array.fold_left Float.max 0.0 totals in
+  let base = [| 0.2; 0.8 |] in
+  let rng = Prng.create ~seed:2 in
+  let psis =
+    Array.init 500 (fun _ ->
+        Fleet_sim.sample_psi (Fleet_sim.Holding_jitter { sigma = 0.5 }) ~base rng)
+  in
+  let robust objective =
+    Fitness.robust_power
+      { Fitness.psis; battery = Battery.phone_cell; objective }
+      eval.Fitness.mode_powers
+  in
+  List.iter
+    (fun (name, objective) ->
+      let power = robust objective in
+      Alcotest.(check bool) (name ^ " within mode-power extremes") true
+        (power >= lo -. 1e-12 && power <= hi +. 1e-12))
+    [
+      ("mean", Fitness.Expected_lifetime);
+      ("p10", Fitness.Percentile 0.1);
+      ("p50", Fitness.Percentile 0.5);
+      ("p100", Fitness.Percentile 1.0);
+    ];
+  Alcotest.(check bool) "p10 draw no better than p100" true
+    (robust (Fitness.Percentile 0.1) >= robust (Fitness.Percentile 1.0))
+
 (* --- Task-network JSON export ---------------------------------------------------- *)
 
 let motivational_eval () =
@@ -527,6 +576,10 @@ let () =
           Alcotest.test_case "gamma and dirichlet" `Quick test_prng_gamma_dirichlet;
           Alcotest.test_case "battery inverse" `Quick test_battery_inverse;
           Alcotest.test_case "robust objective" `Quick test_robust_power;
+          Alcotest.test_case "zero jitter keeps Ψ" `Quick
+            test_jitter_zero_is_published;
+          Alcotest.test_case "jitter power bounds" `Quick
+            test_jitter_robust_power_bounds;
         ] );
       ( "export-json",
         [
