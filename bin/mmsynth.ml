@@ -421,14 +421,6 @@ let devices_arg =
     value & opt int 10_000
     & info [ "devices" ] ~docv:"N" ~doc:"Fleet size for the Monte Carlo simulation.")
 
-let batch_arg =
-  Arg.(
-    value & opt int 4096
-    & info [ "batch" ] ~docv:"N"
-        ~doc:
-          "Devices per pool work item. Affects wall-clock only; every report bit is \
-           identical at any batch size.")
-
 let fleet_seed_arg =
   Arg.(
     value
@@ -440,7 +432,9 @@ let fleet_horizon_arg =
   Arg.(
     value & opt float 10_000.0
     & info [ "fleet-horizon" ] ~docv:"T"
-        ~doc:"Simulated operational time per device (seconds).")
+        ~doc:
+          "Operational time per device (seconds).  It must cover at least 200 expected \
+           mode transitions under the published probabilities.")
 
 let fleet_flag =
   Arg.(
@@ -449,7 +443,7 @@ let fleet_flag =
         ~doc:
           "After the report, Monte Carlo a device fleet against the winning \
            implementation and print the battery-life distribution (see $(b,--devices), \
-           $(b,--usage), $(b,--fleet-horizon), $(b,--fleet-seed), $(b,--batch)).")
+           $(b,--usage), $(b,--fleet-horizon), $(b,--fleet-seed)).")
 
 let robust_arg =
   Arg.(
@@ -530,24 +524,15 @@ let with_obs trace trace_jsonl trace_fine metrics log_level f =
 
 (* Synthesis done: Monte Carlo the device fleet against the winning
    implementation, print the distribution, optionally persist the JSON
-   report.  The fleet's own domains come from --jobs; percentiles are
-   bit-identical at any job count.  The fleet seed defaults to the
-   synthesis seed + 1. *)
-let run_fleet devices usage batch fleet_seed horizon ~jobs ~seed ~report spec
+   report.  The fleet seed defaults to the synthesis seed + 1. *)
+let run_fleet devices usage fleet_seed horizon ~seed ~report spec
     (result : Synthesis.result) =
   let omsm = Spec.omsm spec in
   let mode_powers = result.Synthesis.eval.Fitness.mode_powers in
   let seed = Option.value fleet_seed ~default:(seed + 1) in
   match
-    let pool =
-      if jobs > 1 then Some (Mm_parallel.Pool.create ~domains:jobs ()) else None
-    in
     let fleet =
-      Fun.protect
-        ~finally:(fun () -> Option.iter Mm_parallel.Pool.shutdown pool)
-        (fun () ->
-          Mm_energy.Fleet_sim.run ?pool ~batch ~model:usage ~horizon ~devices ~omsm
-            ~mode_powers ~seed ())
+      Mm_energy.Fleet_sim.run ~model:usage ~horizon ~devices ~omsm ~mode_powers ~seed ()
     in
     Report.print_fleet fleet;
     Option.iter
@@ -640,11 +625,11 @@ let obs_term =
     const with_obs $ trace_arg $ trace_jsonl_arg $ trace_fine_arg $ metrics_arg
     $ log_level_arg)
 
-(* --devices, --usage, --batch, --fleet-seed, --fleet-horizon: yields
+(* --devices, --usage, --fleet-seed, --fleet-horizon: yields
    [run_fleet] with those settings. *)
 let fleet_term =
   Term.(
-    const run_fleet $ devices_arg $ usage_arg $ batch_arg $ fleet_seed_arg
+    const run_fleet $ devices_arg $ usage_arg $ fleet_seed_arg
     $ fleet_horizon_arg)
 
 (* --- show ------------------------------------------------------------------- *)
@@ -830,7 +815,7 @@ let synth name force seed config fleet run_fleet checkpoint checkpoint_every res
   | result -> (
     Report.print_result spec result;
     let* () =
-      if fleet then run_fleet ~jobs:config.Synthesis.jobs ~seed ~report:None spec result
+      if fleet then run_fleet ~seed ~report:None spec result
       else Ok ()
     in
     match result.Synthesis.audit with
@@ -908,7 +893,7 @@ let compare_cmd_impl name force seed runs config fleet run_fleet checkpoint resu
     else
       let simulate label (arm : Experiment.arm) =
         Format.printf "fleet of %s best:@." label;
-        run_fleet ~jobs:config.Synthesis.jobs ~seed ~report:None spec arm.Experiment.best
+        run_fleet ~seed ~report:None spec arm.Experiment.best
       in
       let* () = simulate "baseline" c.Experiment.without_probabilities in
       simulate "proposed" c.Experiment.with_probabilities
@@ -1176,7 +1161,7 @@ let fleet_cmd_impl name force seed config run_fleet report =
     Format.printf "synthesised: average power %.4g mW, feasible %b@."
       (Synthesis.average_power result *. 1e3)
       (Fitness.feasible result.Synthesis.eval);
-    run_fleet ~jobs:config.Synthesis.jobs ~seed ~report:(Some report) spec result
+    run_fleet ~seed ~report:(Some report) spec result
   | exception Invalid_argument message -> Error (`Msg message)
 
 let fleet_cmd =

@@ -56,20 +56,20 @@ let () =
     (p base_dvs *. 1e3) (p prop_dvs *. 1e3)
     (Stats.percent_reduction ~from:(p base_dvs) ~to_:(p prop_dvs))
     (Stats.percent_reduction ~from:(p base_nodvs) ~to_:(p prop_dvs));
-  (* Validate the analytic Eq. (1) figure against a simulated usage
-     trace of the final implementation: one device of the fleet model,
-     at the published probabilities. *)
-  let sim =
-    Mm_energy.Fleet_sim.compile ~omsm:(Mm_cosynth.Spec.omsm spec)
-      ~mode_powers:prop_dvs.Synthesis.eval.F.mode_powers
+  (* Check the analytic Eq. (1) figure against simulated usage of the
+     final implementation: a fleet of devices at the published
+     probabilities. *)
+  let fleet =
+    Mm_energy.Fleet_sim.run ~devices:10_000 ~horizon:10_000.0
+      ~omsm:(Mm_cosynth.Spec.omsm spec)
+      ~mode_powers:prop_dvs.Synthesis.eval.F.mode_powers ~seed:2026 ()
   in
-  let empirical_power, transitions =
-    Mm_energy.Fleet_sim.simulate_device sim ~model:Mm_energy.Fleet_sim.Point
-      ~horizon:100_000.0 (Mm_util.Prng.create ~seed:2026)
-  in
+  let s = fleet.Mm_energy.Fleet_sim.stats in
   Format.printf
-    "trace simulation (%d mode changes over 1e5 time units): empirical %.4g mW vs analytic %.4g mW@."
-    transitions (empirical_power *. 1e3) (p prop_dvs *. 1e3);
+    "fleet simulation (10^4 devices, %.0f mode changes each): mean %.4g mW vs analytic %.4g mW@."
+    s.Mm_energy.Fleet_sim.mean_transitions
+    (s.Mm_energy.Fleet_sim.mean_power *. 1e3)
+    (s.Mm_energy.Fleet_sim.analytic_power *. 1e3);
   (* What the reduction buys in the unit users care about. *)
   let cell = Mm_energy.Battery.phone_cell in
   Format.printf

@@ -2,10 +2,7 @@ module Prng = Mm_util.Prng
 module Omsm = Mm_omsm.Omsm
 module Mode = Mm_omsm.Mode
 module Transition = Mm_omsm.Transition
-module Pool = Mm_parallel.Pool
 module Json = Mm_obs.Json
-
-type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
 
 type profile = { name : string; weight : float; psi : float array }
 
@@ -73,13 +70,11 @@ let normalise psi =
   let total = Array.fold_left ( +. ) 0.0 psi in
   Array.map (fun p -> p /. total) psi
 
-(* One Ψ draw for a device.  [Point] consumes no randomness, so a
-   point-model device stream is bit-identical to handing the same
-   generator to the single-device oracle walk.  [Holding_jitter] perturbs holding
-   times, not the embedded chain; its long-run profile is
-   Ψ'_i ∝ Ψ_i·j_i with j_i the per-mode log-normal factor, which is what
-   this returns so robust fitness sees the same distribution the walk
-   realises. *)
+(* One Ψ draw for a device.  [Point] consumes no randomness.
+   [Holding_jitter] perturbs holding times, not the embedded chain; its
+   long-run profile is Ψ'_i ∝ Ψ_i·j_i with j_i the per-mode log-normal
+   factor, which is what this returns so robust fitness sees the same
+   distribution the fleet realises. *)
 let sample_psi model ~base rng =
   match model with
   | Point -> base
@@ -102,22 +97,24 @@ let sample_psi model ~base rng =
     in
     normalise (Array.copy (pick 0.0 profiles).psi)
 
-(* --- Compiled walk table ------------------------------------------------ *)
+(* --- Compiled chain ------------------------------------------------------ *)
 
 type sim = {
-  n_modes : int;
   start : int;
   power : float array;  (* Power.total per mode *)
+  lo_power : float;
+  hi_power : float;
   base_psi : float array;
-  pi : float array;  (* stationary distribution of the embedded chain *)
+  pi : float array;  (* exact stationary distribution of the embedded chain *)
+  live : float;  (* Σ π_i over modes with an outgoing transition *)
   base_holding : float array;  (* holding_of_psi pi base_psi *)
-  dsts : int array array;  (* outgoing destinations, transition-list order *)
+  z : float array array;  (* fundamental matrix, Usage_profile.fundamental *)
 }
 
 (* Mean residence times h_i = Ψ_i / π_i, with π the stationary
-   distribution of the embedded jump chain: the semi-Markov walk then
-   spends the long-run share Ψ_i in mode i.  A mode with π_i = 0 or
-   Ψ_i = 0 gets a vanishing holding time. *)
+   distribution of the embedded jump chain: the chain then spends the
+   long-run share Ψ_i in mode i.  A mode with π_i = 0 or Ψ_i = 0 gets a
+   vanishing holding time. *)
 let holding_of_psi pi psi =
   Array.init (Array.length pi) (fun i ->
       if pi.(i) <= 0.0 then 1e-9 else Float.max 1e-9 (psi.(i) /. pi.(i)))
@@ -134,43 +131,37 @@ let compile ~omsm ~mode_powers =
     done;
     !best
   in
-  let pi =
-    let observations =
-      List.map
-        (fun tr ->
-          {
-            Mm_omsm.Usage_profile.src = Transition.src tr;
-            dst = Transition.dst tr;
-            count = 1.0;
-          })
-        (Omsm.transitions omsm)
-    in
-    match observations with
-    | [] -> Array.make n (1.0 /. float_of_int n)
-    | _ ->
-      Mm_omsm.Usage_profile.stationary
-        (Mm_omsm.Usage_profile.embedded_chain ~n_modes:n observations)
+  let p =
+    Mm_omsm.Usage_profile.embedded_chain ~n_modes:n
+      (List.map
+         (fun tr ->
+           {
+             Mm_omsm.Usage_profile.src = Transition.src tr;
+             dst = Transition.dst tr;
+             count = 1.0;
+           })
+         (Omsm.transitions omsm))
   in
-  let dsts =
-    Array.init n (fun mode ->
-        Omsm.transitions omsm
-        |> List.filter (fun tr -> Transition.src tr = mode)
-        |> List.map Transition.dst
-        |> Array.of_list)
-  in
+  let pi, z = Mm_omsm.Usage_profile.fundamental p in
+  let power = Array.map Power.total mode_powers in
   {
-    n_modes = n;
     start;
-    power = Array.map Power.total mode_powers;
+    power;
+    lo_power = Array.fold_left Float.min Float.infinity power;
+    hi_power = Array.fold_left Float.max Float.neg_infinity power;
     base_psi;
     pi;
+    (* An absorbing mode is the only one the chain self-loops in. *)
+    live =
+      Array.fold_left ( +. ) 0.0
+        (Array.mapi (fun i q -> if p.(i).(i) < 1.0 then q else 0.0) pi);
     base_holding = holding_of_psi pi base_psi;
-    dsts;
+    z;
   }
 
 (* Per-device holding times.  Draw order matches [sample_psi] so the
    usage models consume the stream identically whether they drive the
-   walk or the robust-fitness Ψ samples. *)
+   fleet or the robust-fitness Ψ samples. *)
 let device_holding sim model rng =
   match model with
   | Point -> sim.base_holding
@@ -180,78 +171,48 @@ let device_holding sim model rng =
       sim.base_holding
   | Dirichlet _ | Mixture _ -> holding_of_psi sim.pi (sample_psi model ~base:sim.base_psi rng)
 
-(* SplitMix64, stepped on a bare word: [Prng.bits64] is [mix64] of the
-   word after one Weyl step, and [unit_of] is the [\[0, 1)] draw that
-   [Prng.float] and [Prng.int] both take from its top 53 bits.  These
-   are copies, not calls, and must match [Prng] bit for bit: dune's
-   dev profile compiles with [-opaque], so no call into [Prng] is
-   inlined, and each one boxes the stored word, [bits64]'s result and
-   the returned float (8 words a draw; DESIGN.md §16 has the
-   measurements).  The differential tests in [test_fleet.ml] hold the
-   copies equal to [Prng]. *)
-let golden_gamma = 0x9E3779B97F4A7C15L
-
-let[@inline] mix64 z =
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
-  let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
-  Int64.logxor z (Int64.shift_right_logical z 31)
-
-let[@inline] unit_of word =
-  Int64.to_float (Int64.shift_right_logical (mix64 word) 11) /. 9007199254740992.0
-
-(* The walk is a float-for-float transliteration of
-   the oracle walk's inner loop (same exponential expression, same
-   accumulation order, a [Prng.int] draw over the precompiled
-   destination array standing in for [Prng.pick] over the filtered
-   transition list), so a point-model device with stream 0 reproduces
-   the oracle bit-for-bit and leaves the generator in the oracle's
-   state.  It is one [while] loop over local refs that no closure
-   captures, so mode, clock, energy and the generator word stay
-   unboxed: a point-model step allocates nothing.  The word is read
-   once from [rng] and written back once at the end. *)
-let simulate_device ?on_segment sim ~model ~horizon rng =
-  if horizon <= 0.0 then invalid_arg "Fleet_sim.simulate_device: non-positive horizon";
-  let holding = device_holding sim model rng in
-  let word = ref (Prng.state rng) in
-  let mode = ref sim.start in
-  let now = ref 0.0 in
-  let energy = ref 0.0 in
-  let transitions = ref 0 in
-  let walking = ref true in
-  while !walking do
-    let m = !mode and enter = !now in
-    (* [Prng.float rng 1.0]. *)
-    word := Int64.add !word golden_gamma;
-    let u = unit_of !word *. 1.0 in
-    let dwell = -.holding.(m) *. log (Float.max 1e-300 (1.0 -. u)) in
-    let leave = Float.min horizon (enter +. dwell) in
-    let duration = leave -. enter in
-    energy := !energy +. (sim.power.(m) *. duration);
-    (match on_segment with Some f -> f ~mode:m ~enter ~leave | None -> ());
-    if leave < horizon then begin
-      let dsts = sim.dsts.(m) in
-      let k = Array.length dsts in
-      if k = 0 then begin
-        (* Absorbing: finish the horizon here. *)
-        energy := !energy +. (sim.power.(m) *. (horizon -. leave));
-        (match on_segment with
-        | Some f -> f ~mode:m ~enter:leave ~leave:horizon
-        | None -> ());
-        walking := false
-      end
-      else begin
-        incr transitions;
-        (* [Prng.int rng k], clamp included. *)
-        word := Int64.add !word golden_gamma;
-        let v = int_of_float (unit_of !word *. float_of_int k) in
-        mode := dsts.(if v >= k then k - 1 else v);
-        now := leave
-      end
-    end
-    else walking := false
+(* With holding times h, the device is a continuous-time Markov chain
+   whose time shares are s = π∘h/⟨π,h⟩.  Its time-averaged power over a
+   horizon T has mean m = ⟨s, power⟩ plus the start mode's bias
+   (g_start − ⟨s,g⟩)/T, and variance σ²/T with σ² = 2 Σ s_i f̃_i g_i,
+   where f̃ = power − m and g = Z(h∘f̃) solves the Poisson equation
+   (I − P) g = h∘f̃.  The draw is clamped to the mode powers' range,
+   where every time average lies. *)
+let device sim ~model ~horizon rng =
+  let h = device_holding sim model rng in
+  let pi = sim.pi and power = sim.power and z = sim.z in
+  let n = Array.length pi in
+  let d = ref 0.0 and e = ref 0.0 in
+  for i = 0 to n - 1 do
+    let w = pi.(i) *. h.(i) in
+    d := !d +. w;
+    e := !e +. (w *. power.(i))
   done;
-  Prng.set_state rng !word;
-  (!energy /. horizon, !transitions)
+  let d = !d in
+  let m = !e /. d in
+  let v = Array.init n (fun i -> h.(i) *. (power.(i) -. m)) in
+  let variance = ref 0.0 and s_g = ref 0.0 and g_start = ref 0.0 in
+  for i = 0 to n - 1 do
+    let g = ref 0.0 in
+    Array.iteri (fun j zij -> g := !g +. (zij *. v.(j))) z.(i);
+    let g = !g in
+    variance := !variance +. (pi.(i) *. v.(i) *. g);
+    s_g := !s_g +. (pi.(i) *. h.(i) *. g);
+    if i = sim.start then g_start := g
+  done;
+  let variance = Float.max 0.0 (2.0 *. !variance /. d) in
+  let mean = m +. ((!g_start -. (!s_g /. d)) /. horizon) in
+  let power = mean +. (sqrt (variance /. horizon) *. Prng.gaussian rng) in
+  (Float.min sim.hi_power (Float.max sim.lo_power power), horizon *. sim.live /. d)
+
+(* The smallest horizon, in expected transitions of the embedded chain
+   under the published Ψ, at which the normal law above passes the
+   two-sample Kolmogorov–Smirnov gate against the oracle walk (see
+   [test_fleet.ml]). *)
+let min_transitions = 200.0
+
+let min_horizon sim =
+  min_transitions *. Array.fold_left ( +. ) 0.0 (Array.map2 ( *. ) sim.pi sim.base_holding)
 
 (* --- Fleet runs --------------------------------------------------------- *)
 
@@ -272,99 +233,120 @@ type result = {
   seed : int;
   model : usage_model;
   battery : Battery.t;
-  lifetimes : vec;
-  powers : vec;
-  transitions : vec;
+  lifetimes : float array;
   stats : stats;
 }
 
 let percentile_ranks = [ 1; 10; 50; 90; 99 ]
 
+let nearest_rank n q = max 0 (min (n - 1) (int_of_float (ceil (q *. float_of_int n)) - 1))
+
 (* Nearest-rank percentile over an ascending-sorted array. *)
-let percentile_of_sorted sorted q =
-  let n = Array.length sorted in
-  let rank = int_of_float (ceil (q *. float_of_int n)) - 1 in
-  sorted.(max 0 (min (n - 1) rank))
+let percentile_of_sorted sorted q = sorted.(nearest_rank (Array.length sorted) q)
 
 let sorted_lifetimes result =
-  let a = Array.init result.devices (fun i -> Bigarray.Array1.get result.lifetimes i) in
+  let a = Array.copy result.lifetimes in
   Array.sort compare a;
   a
 
-let run ?pool ?(batch = 4096) ?(model = Point) ?(battery = Battery.phone_cell)
-    ?(horizon = 10_000.0) ~devices ~omsm ~mode_powers ~seed () =
+(* Three-way quickselect: afterwards a.(k) holds the rank-k value of
+   a.(lo..hi), everything left of it is no larger and everything right
+   of it no smaller.  A run of values equal to the pivot (+∞ lifetimes,
+   a fleet without spread) ends a round at once. *)
+let select (a : float array) lo hi k =
+  let lo = ref lo and hi = ref hi in
+  while !lo < !hi do
+    let pivot = a.((!lo + !hi) / 2) in
+    let lt = ref !lo and i = ref !lo and gt = ref !hi in
+    while !i <= !gt do
+      let v = a.(!i) in
+      if v < pivot then begin
+        a.(!i) <- a.(!lt);
+        a.(!lt) <- v;
+        incr lt;
+        incr i
+      end
+      else if pivot < v then begin
+        a.(!i) <- a.(!gt);
+        a.(!gt) <- v;
+        decr gt
+      end
+      else incr i
+    done;
+    if k < !lt then hi := !lt - 1 else if k > !gt then lo := !gt + 1 else lo := !hi
+  done;
+  a.(k)
+
+let nearest_rank_percentiles values qs =
+  let a = Array.copy values in
+  let n = Array.length a in
+  let lo = ref 0 in
+  List.map
+    (fun q ->
+      let k = nearest_rank n q in
+      let v = select a (if k < !lo then 0 else !lo) (n - 1) k in
+      lo := k;
+      v)
+    qs
+
+(* [pool] is accepted and not used.  A closed-form device costs 2–3 µs,
+   so a 50,000-device query is 90–140 ms on one domain; fanning it over
+   a 2-domain pool took about 50 ms, but in a process that also
+   spawns and joins other domains between queries (the benchmark's
+   set-up samples) it raised the peak RSS from about 15 to 20 MB, where
+   the serial loop stays at about 15 MB. *)
+let run ?pool:_ ?(model = Point) ?(battery = Battery.phone_cell) ?(horizon = 10_000.0)
+    ~devices ~omsm ~mode_powers ~seed () =
   if devices <= 0 then invalid_arg "Fleet_sim.run: need at least one device";
-  if batch <= 0 then invalid_arg "Fleet_sim.run: non-positive batch size";
-  if horizon <= 0.0 then invalid_arg "Fleet_sim.run: non-positive horizon";
   validate_model ~n_modes:(Omsm.n_modes omsm) model;
   let sim = compile ~omsm ~mode_powers in
+  if not (horizon >= min_horizon sim) then
+    invalid_arg
+      (Printf.sprintf
+         "Fleet_sim.run: horizon %g is under %g, the time of %.0f expected transitions"
+         horizon (min_horizon sim) min_transitions);
+  (* Device [i]'s generator is a pure function of (seed, i). *)
   let base = Prng.create ~seed in
-  let lifetimes = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout devices in
-  let powers = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout devices in
-  let transitions = Bigarray.Array1.create Bigarray.float64 Bigarray.c_layout devices in
-  (* Device [i]'s generator is a pure function of (seed, i): results do
-     not depend on how devices are partitioned into batches or spread
-     over domains, which is what makes the percentile output bit-stable
-     across [--jobs] and batch sizes. *)
-  let one i =
-    let rng = Prng.stream base i in
-    let power, n_transitions = simulate_device sim ~model ~horizon rng in
-    Bigarray.Array1.set powers i power;
-    Bigarray.Array1.set transitions i (float_of_int n_transitions);
-    Bigarray.Array1.set lifetimes i
-      (if power > 0.0 then Battery.lifetime_hours battery ~average_power:power
-       else Float.infinity)
-  in
-  let n_batches = (devices + batch - 1) / batch in
-  let run_batch b =
-    let lo = b * batch in
-    let hi = min devices (lo + batch) - 1 in
-    for i = lo to hi do
-      one i
-    done
-  in
-  let batches = Array.init n_batches (fun b -> b) in
-  (match pool with
-  | Some pool -> ignore (Pool.map pool run_batch batches : unit array)
-  | None -> Array.iter run_batch batches);
-  let sum v =
-    let acc = ref 0.0 in
-    for i = 0 to devices - 1 do
-      acc := !acc +. Bigarray.Array1.get v i
-    done;
-    !acc
+  let power_sum = ref 0.0 and transition_sum = ref 0.0 in
+  let lifetimes =
+    Array.init devices (fun i ->
+        let power, transitions = device sim ~model ~horizon (Prng.stream base i) in
+        power_sum := !power_sum +. power;
+        transition_sum := !transition_sum +. transitions;
+        if power > 0.0 then Battery.lifetime_hours battery ~average_power:power
+        else Float.infinity)
   in
   let nf = float_of_int devices in
-  let sorted = Array.init devices (fun i -> Bigarray.Array1.get lifetimes i) in
-  Array.sort compare sorted;
-  let mean_hours = sum lifetimes /. nf in
+  let min_hours = ref Float.infinity and max_hours = ref Float.neg_infinity in
+  let hour_sum = ref 0.0 in
+  Array.iter
+    (fun (l : float) ->
+      if l < !min_hours then min_hours := l;
+      if l > !max_hours then max_hours := l;
+      hour_sum := !hour_sum +. l)
+    lifetimes;
+  let mean_hours = !hour_sum /. nf in
+  let square_dev acc l = acc +. ((l -. mean_hours) *. (l -. mean_hours)) in
   let stddev_hours =
-    if Float.is_finite mean_hours then begin
-      let acc = ref 0.0 in
-      for i = 0 to devices - 1 do
-        let d = Bigarray.Array1.get lifetimes i -. mean_hours in
-        acc := !acc +. (d *. d)
-      done;
-      sqrt (!acc /. nf)
-    end
+    if Float.is_finite mean_hours then sqrt (Array.fold_left square_dev 0.0 lifetimes /. nf)
     else Float.nan
   in
   let stats =
     {
-      mean_power = sum powers /. nf;
+      mean_power = !power_sum /. nf;
       analytic_power = Power.average ~probabilities:sim.base_psi mode_powers;
-      mean_transitions = sum transitions /. nf;
+      mean_transitions = !transition_sum /. nf;
       mean_hours;
       stddev_hours;
-      min_hours = sorted.(0);
-      max_hours = sorted.(devices - 1);
+      min_hours = !min_hours;
+      max_hours = !max_hours;
       percentiles =
-        List.map
-          (fun p -> (p, percentile_of_sorted sorted (float_of_int p /. 100.0)))
-          percentile_ranks;
+        List.combine percentile_ranks
+          (nearest_rank_percentiles lifetimes
+             (List.map (fun p -> float_of_int p /. 100.0) percentile_ranks));
     }
   in
-  { devices; horizon; seed; model; battery; lifetimes; powers; transitions; stats }
+  { devices; horizon; seed; model; battery; lifetimes; stats }
 
 (* Deterministic report: no wall-clock or host fields, so equal seeds
    give byte-identical files. *)

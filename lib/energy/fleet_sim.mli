@@ -1,33 +1,27 @@
-(** Fleet-scale Monte Carlo usage simulation.
+(** Fleet-scale usage Monte Carlo, in closed form.
 
-    One device's usage is a semi-Markov walk over the OMSM's mode
-    sequence; production questions are about the *fleet*: what does the
-    battery-life distribution look like across millions of devices whose
-    usage profiles differ?  This module runs that walk at fleet scale:
+    A device's usage is a walk over the OMSM's modes: the next mode is
+    uniform over the outgoing transitions, and a visit to mode i lasts
+    an exponential time of mean h_i = Ψ_i / π_i, with π the exact
+    stationary distribution of the embedded jump chain, so the long-run
+    share of mode i is Ψ_i.  That walk is a continuous-time Markov
+    chain, so its time-averaged power over a horizon T is asymptotically
+    normal: mean Eq. (1) under the device's own Ψ′ plus an O(1/T)
+    start-mode bias, variance σ²(Ψ′)/T from the chain's Poisson
+    equation.  {!compile} solves the chain once per query; a device then
+    costs one Ψ′ draw, one n-vector product with the fundamental matrix
+    and one normal draw, on its own SplitMix64 stream
+    ({!Mm_util.Prng.stream} of the run seed), so a report depends on
+    nothing but its inputs.  The report is a lifetime distribution
+    (mean, stddev, min/max and p1/p10/p50/p90/p99 nearest-rank
+    percentiles via {!Battery.lifetime_hours}).
 
-    - every device [i] gets its own SplitMix64 stream derived from the
-      run seed ({!Mm_util.Prng.stream}), a pure function of (seed, i) —
-      results are bit-identical regardless of batch size or how many
-      pool domains the fleet is spread over;
-    - devices are scored in flat [Bigarray] batches against a
-      synthesized design's per-mode powers, fanning out over an existing
-      {!Mm_parallel.Pool};
-    - the report is a lifetime *distribution* — mean, stddev, min/max
-      and p1/p10/p50/p90/p99 nearest-rank percentiles via
-      {!Battery.lifetime_hours} — not just the Eq. 1 average.
-
-    The inner walk is a float-for-float transliteration of the
-    single-device oracle walk kept in the test-only [mm_oracle] library,
-    written as one allocation-free loop that steps the device's
-    SplitMix64 word in a local with {!Mm_util.Prng.bits64}'s
-    arithmetic: a 1-device point-model fleet is segment-for-segment and
-    bit-for-bit identical to the oracle and leaves the generator in the
-    oracle's state (held by the differential tests in [test_fleet.ml]).
-    So a one-device fleet ([mmsynth synth --fleet --devices 1
-    --fleet-horizon T]) is the trace-driven check of Eq. (1): {!pp}
-    prints its empirical power against the analytic one. *)
-
-type vec = (float, Bigarray.float64_elt, Bigarray.c_layout) Bigarray.Array1.t
+    The law is held to the walk itself (kept as the test-only oracle
+    [Trace_sim] in [mm_oracle]) by a two-sample Kolmogorov–Smirnov
+    test, and {!run} refuses horizons under 200 expected transitions of
+    the embedded chain under the published Ψ (200 mean holding times
+    ⟨π, h⟩), near where that test starts to fail.  A one-device fleet
+    is one draw from the law, not a trace. *)
 
 (** {1 Usage models}
 
@@ -70,43 +64,35 @@ val model_fingerprint : usage_model -> string
 val sample_psi : usage_model -> base:float array -> Mm_util.Prng.t -> float array
 (** One per-device Ψ draw.  [Point] consumes no randomness and returns
     [base] itself; the others return a fresh normalised vector.  The
-    draw order matches the fleet walk's own per-device sampling, and for
+    draw order matches the fleet's own per-device sampling, and for
     [Holding_jitter] the returned Ψ is the long-run profile the jittered
-    walk realises (Ψ'_i ∝ Ψ_i·j_i). *)
+    holding times realise (Ψ'_i ∝ Ψ_i·j_i). *)
 
 (** {1 Single-device kernel} *)
 
 type sim
-(** Walk table compiled once per (OMSM, mode powers) pair: start mode,
-    per-mode total powers, holding times, stationary distribution and
-    outgoing-destination arrays. *)
+(** The embedded chain compiled once per (OMSM, mode powers) pair:
+    start mode, per-mode total powers, exact stationary distribution π,
+    holding times and the fundamental matrix. *)
 
 val compile : omsm:Mm_omsm.Omsm.t -> mode_powers:Power.mode_power array -> sim
 (** Raises [Invalid_argument] when [mode_powers] doesn't match the
-    OMSM's mode count. *)
+    OMSM's mode count, or when the embedded chain has more than one
+    closed class of modes (π, and so the long-run usage, is not
+    unique). *)
 
-val simulate_device :
-  ?on_segment:(mode:int -> enter:float -> leave:float -> unit) ->
-  sim ->
-  model:usage_model ->
-  horizon:float ->
-  Mm_util.Prng.t ->
-  float * int
-(** One device walk; returns (empirical average power, transition
-    count).  [on_segment] observes the chronological visit log —
-    segment-for-segment identical to the oracle walk's visit log under
-    the point model with the same generator.  The generator ends
-    where the equivalent {!Mm_util.Prng.float}/{!Mm_util.Prng.int}
-    calls would leave it.  Without [on_segment], a point-model walk
-    allocates nothing per transition.  Raises [Invalid_argument] on a
-    non-positive horizon. *)
+val device : sim -> model:usage_model -> horizon:float -> Mm_util.Prng.t -> float * float
+(** One device: draws its Ψ′ (as {!sample_psi} would), then its
+    time-averaged power over [horizon] from the normal law above, clamped
+    to the range of the mode powers.  Returns (power, expected number of
+    transitions).  No horizon floor is checked here; {!run} does. *)
 
 (** {1 Fleet runs} *)
 
 type stats = {
-  mean_power : float;  (** Fleet mean of the empirical device powers (W). *)
+  mean_power : float;  (** Fleet mean of the drawn device powers (W). *)
   analytic_power : float;  (** Eq. 1 average under the point Ψ (W). *)
-  mean_transitions : float;
+  mean_transitions : float;  (** Fleet mean of the expected transition counts. *)
   mean_hours : float;
   stddev_hours : float;  (** Population standard deviation. *)
   min_hours : float;
@@ -121,15 +107,12 @@ type result = {
   seed : int;
   model : usage_model;
   battery : Battery.t;
-  lifetimes : vec;  (** Hours, device order; +∞ for a zero-power device. *)
-  powers : vec;  (** Empirical average power per device (W). *)
-  transitions : vec;
+  lifetimes : float array;  (** Hours, device order; +∞ for a zero-power device. *)
   stats : stats;
 }
 
 val run :
   ?pool:Mm_parallel.Pool.t ->
-  ?batch:int ->
   ?model:usage_model ->
   ?battery:Battery.t ->
   ?horizon:float ->
@@ -139,19 +122,28 @@ val run :
   seed:int ->
   unit ->
   result
-(** Simulate the fleet.  [batch] (default 4096) is the number of devices
-    per pool work item; neither it nor [pool] affect any output bit.
-    [model] defaults to [Point], [battery] to {!Battery.phone_cell},
-    [horizon] to 10\,000 time units.  Raises [Invalid_argument] on
-    non-positive [devices]/[batch]/[horizon] or a malformed model. *)
+(** Draw the fleet, on the calling domain.  [pool] is accepted and not
+    used: the closed form is cheap enough (2–3 µs a device) that a
+    fan-out's memory cost outweighs its wall-clock gain.  [model] defaults to
+    [Point], [battery] to {!Battery.phone_cell}, [horizon] to 10\,000
+    time units.  Percentiles come from quickselect on one copy of the
+    lifetimes, not a sort.  Raises [Invalid_argument] on non-positive
+    [devices], a horizon under 200 expected transitions, a malformed
+    model or an OMSM {!compile} rejects. *)
 
 val sorted_lifetimes : result -> float array
-(** Ascending copy of the lifetime vector (the array percentiles are
-    read from). *)
+(** Ascending copy of the lifetimes (the reference for the selected
+    percentiles). *)
 
 val percentile_of_sorted : float array -> float -> float
 (** [percentile_of_sorted sorted q] is the nearest-rank [q]-quantile
     ([0 < q <= 1]) of an ascending-sorted non-empty array. *)
+
+val nearest_rank_percentiles : float array -> float list -> float list
+(** [nearest_rank_percentiles values qs] is [percentile_of_sorted] of
+    the sorted [values] at each quantile of [qs], found by quickselect
+    on one copy of the non-empty, NaN-free [values] (left untouched);
+    with ascending [qs] each rank narrows the next one's range. *)
 
 val to_json : result -> string
 (** Deterministic single-object report (no wall-clock fields): equal

@@ -37,35 +37,68 @@ let check_stochastic matrix =
         row)
     matrix
 
-let stationary ?(max_iterations = 10_000) ?(tolerance = 1e-12) ?(damping = 0.95)
-    matrix =
-  if not (damping > 0.0 && damping <= 1.0) then
-    invalid_arg "Usage_profile.stationary: damping must be in (0, 1]";
+(* [reach.(i).(j)]: j can be reached from i in zero or more steps
+   (Warshall's transitive closure over the positive entries). *)
+let reachability matrix =
+  let reach = Array.mapi (fun i row -> Array.mapi (fun j p -> i = j || p > 0.0) row) matrix in
+  Array.iteri
+    (fun k via ->
+      Array.iter
+        (fun from -> if from.(k) then Array.iteri (fun j r -> if r then from.(j) <- true) via)
+        reach)
+    reach;
+  reach
+
+(* Gauss–Jordan inverse with partial pivoting of a non-singular matrix. *)
+let invert m =
+  let n = Array.length m in
+  let a =
+    Array.init n (fun i ->
+        Array.init (2 * n) (fun j -> if j < n then m.(i).(j) else if j - n = i then 1.0 else 0.0))
+  in
+  for col = 0 to n - 1 do
+    let pivot = ref col in
+    for r = col + 1 to n - 1 do
+      if Float.abs a.(r).(col) > Float.abs a.(!pivot).(col) then pivot := r
+    done;
+    let row = Array.map (fun x -> x /. a.(!pivot).(col)) a.(!pivot) in
+    a.(!pivot) <- a.(col);
+    a.(col) <- row;
+    for r = 0 to n - 1 do
+      let factor = a.(r).(col) in
+      if r <> col && factor <> 0.0 then
+        Array.iteri (fun c x -> a.(r).(c) <- a.(r).(c) -. (factor *. x)) a.(col)
+    done
+  done;
+  Array.map (fun row -> Array.sub row n n) a
+
+(* π is unique iff the chain has one closed class: the modes every mode
+   can reach.  Then M = I − P + 1uᵀ is non-singular for any u with
+   Σu = 1, and πM = π − π + uᵀ = uᵀ, so π = uᵀM⁻¹; here u is uniform.
+   Modes outside the closed class are transient and get exactly 0. *)
+let fundamental matrix =
   check_stochastic matrix;
   let n = Array.length matrix in
-  let uniform = 1.0 /. float_of_int n in
-  let pi = Array.make n uniform in
-  let next = Array.make n 0.0 in
-  let rec iterate k =
-    Array.fill next 0 n 0.0;
-    for i = 0 to n - 1 do
-      for j = 0 to n - 1 do
-        next.(j) <- next.(j) +. (pi.(i) *. matrix.(i).(j))
-      done
-    done;
-    (* Damping guarantees convergence on periodic chains and spreads a
-       little mass everywhere on reducible ones. *)
-    let delta = ref 0.0 in
-    for j = 0 to n - 1 do
-      let damped = (damping *. next.(j)) +. ((1.0 -. damping) *. uniform) in
-      delta := !delta +. Float.abs (damped -. pi.(j));
-      pi.(j) <- damped
-    done;
-    if !delta > tolerance && k < max_iterations then iterate (k + 1)
+  let reach = reachability matrix in
+  let closed j = Array.for_all (fun row -> row.(j)) reach in
+  if not (List.exists closed (List.init n Fun.id)) then
+    invalid_arg
+      "Usage_profile: more than one closed class of modes, so no unique long-run usage";
+  let u = 1.0 /. float_of_int n in
+  let z =
+    invert
+      (Array.init n (fun i ->
+           Array.init n (fun j -> (if i = j then 1.0 else 0.0) -. matrix.(i).(j) +. u)))
   in
-  iterate 0;
+  let pi =
+    Array.init n (fun j ->
+        if not (closed j) then 0.0
+        else Float.max 0.0 (Array.fold_left (fun acc row -> acc +. (u *. row.(j))) 0.0 z))
+  in
   let total = Array.fold_left ( +. ) 0.0 pi in
-  Array.map (fun p -> p /. total) pi
+  (Array.map (fun p -> p /. total) pi, z)
+
+let stationary matrix = fst (fundamental matrix)
 
 let probabilities ~n_modes ~holding_time observations =
   let pi = stationary (embedded_chain ~n_modes observations) in

@@ -11,7 +11,7 @@
     Ψ_i = π_i·h_i / Σ_j π_j·h_j,
 
     where π is the stationary distribution of the embedded jump chain
-    (found by power iteration) and h the mean holding times. *)
+    (solved exactly) and h the mean holding times. *)
 
 type observation = {
   src : int;
@@ -26,19 +26,18 @@ val embedded_chain : n_modes:int -> observation list -> float array array
     outgoing observation self-loop (an absorbing mode).  Raises
     {!Invalid} on out-of-range mode ids or non-positive counts. *)
 
-val stationary :
-  ?max_iterations:int ->
-  ?tolerance:float ->
-  ?damping:float ->
-  float array array ->
-  float array
-(** Power iteration on a row-stochastic matrix.  To guarantee convergence
-    on periodic or reducible chains the iteration is damped (mixing with
-    the uniform distribution — the PageRank trick); [damping] is the
-    weight kept on the chain and must lie in (0, 1], default 0.95.
-    [damping:1.0] is the plain undamped iteration (which may oscillate on
-    periodic chains).  Raises [Invalid_argument] on a non-square or
-    non-stochastic matrix, or a damping outside (0, 1]. *)
+val stationary : float array array -> float array
+(** The exact stationary distribution π of a row-stochastic matrix P:
+    the solution of π(I − P) = 0 with Σπ = 1, by a dense solve, with
+    exactly 0 on transient modes.  Periodic chains are fine.  Raises
+    [Invalid_argument] on a non-square or non-stochastic matrix, or when
+    the chain has more than one closed class, where π is not unique. *)
+
+val fundamental : float array array -> float array * float array array
+(** [(π, Z)]: {!stationary}'s π and a fundamental matrix
+    Z = (I − P + 1uᵀ)⁻¹ with u uniform.  For any r with ⟨π, r⟩ = 0,
+    g = Z r solves the Poisson equation (I − P) g = r (normalised by
+    Σg = 0 rather than ⟨π, g⟩ = 0).  Raises as {!stationary}. *)
 
 val probabilities :
   n_modes:int ->

@@ -19,7 +19,6 @@ let split t =
 
 let copy t = { state = t.state }
 let state t = t.state
-let set_state t state = t.state <- state
 let of_state state = { state }
 
 (* Weyl-sequence stream derivation: child [i]'s state is the parent's

@@ -45,12 +45,6 @@ val of_state : int64 -> t
     {!create} the word is used verbatim (no mixing), so
     [of_state (state t)] produces exactly [t]'s future stream. *)
 
-val set_state : t -> int64 -> unit
-(** [set_state t s] makes [t] continue exactly as [of_state s] would.
-    A kernel that steps the word in its own locals (the fleet walk,
-    [Fleet_sim.simulate_device]) writes it back with this, so its
-    caller's generator continues where the draws left it. *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -2,7 +2,6 @@ module Prng = Mm_util.Prng
 module Omsm = Mm_omsm.Omsm
 module Mode = Mm_omsm.Mode
 module Transition = Mm_omsm.Transition
-module Usage_profile = Mm_omsm.Usage_profile
 module Power = Mm_energy.Power
 
 type segment = { mode : int; enter : float; leave : float }
@@ -18,18 +17,45 @@ type result = {
 let outgoing omsm mode =
   List.filter (fun tr -> Transition.src tr = mode) (Omsm.transitions omsm)
 
+(* π of the embedded chain by power iteration of the lazy chain
+   (I + P)/2, which has the same stationary distribution and is
+   aperiodic, from the uniform start down to an L1 step of 1e-15.  This
+   shares no code with [Usage_profile.stationary]'s exact solve, which
+   production uses. *)
+let stationary omsm =
+  let n = Omsm.n_modes omsm in
+  let p = Array.make_matrix n n 0.0 in
+  for mode = 0 to n - 1 do
+    match outgoing omsm mode with
+    | [] -> p.(mode).(mode) <- 1.0
+    | choices ->
+      let w = 1.0 /. float_of_int (List.length choices) in
+      List.iter
+        (fun tr ->
+          let dst = Transition.dst tr in
+          p.(mode).(dst) <- p.(mode).(dst) +. w)
+        choices
+  done;
+  let pi = ref (Array.make n (1.0 /. float_of_int n)) in
+  let step = ref infinity and k = ref 0 in
+  while !step > 1e-15 && !k < 1_000_000 do
+    let next = Array.map (fun x -> 0.5 *. x) !pi in
+    Array.iteri
+      (fun i x ->
+        for j = 0 to n - 1 do
+          next.(j) <- next.(j) +. (0.5 *. x *. p.(i).(j))
+        done)
+      !pi;
+    step := 0.0;
+    Array.iteri (fun j x -> step := !step +. Float.abs (x -. !pi.(j))) next;
+    pi := next;
+    incr k
+  done;
+  !pi
+
 let holding_times_for omsm =
   let n = Omsm.n_modes omsm in
-  let observations =
-    List.map
-      (fun tr -> { Usage_profile.src = Transition.src tr; dst = Transition.dst tr; count = 1.0 })
-      (Omsm.transitions omsm)
-  in
-  let pi =
-    match observations with
-    | [] -> Array.make n (1.0 /. float_of_int n)
-    | _ -> Usage_profile.stationary (Usage_profile.embedded_chain ~n_modes:n observations)
-  in
+  let pi = stationary omsm in
   Array.init n (fun i ->
       let psi = Mode.probability (Omsm.mode omsm i) in
       if pi.(i) <= 0.0 then 1e-9 else Float.max 1e-9 (psi /. pi.(i)))
@@ -66,6 +92,7 @@ let simulate ?holding_times ?start ~omsm ~mode_powers ~horizon rng =
       done;
       !best
   in
+  let outgoing = Array.init n (outgoing omsm) in
   let time_in_mode = Array.make n 0.0 in
   let energy = ref 0.0 in
   let segments = ref [] in
@@ -78,7 +105,7 @@ let simulate ?holding_times ?start ~omsm ~mode_powers ~horizon rng =
     energy := !energy +. (Power.total mode_powers.(mode) *. duration);
     segments := { mode; enter = now; leave } :: !segments;
     if leave < horizon then begin
-      match outgoing omsm mode with
+      match outgoing.(mode) with
       | [] ->
         (* Absorbing: finish the horizon here. *)
         time_in_mode.(mode) <- time_in_mode.(mode) +. (horizon -. leave);

@@ -1,6 +1,6 @@
 (** Trace-driven validation of the analytic power model: the
-    single-device walk, kept as the oracle that
-    {!Mm_energy.Fleet_sim.simulate_device} must reproduce bit for bit.
+    single-device walk, kept as the oracle whose power distribution the
+    closed-form {!Mm_energy.Fleet_sim} must reproduce.
 
     Eq. (1) computes average power analytically from the mode execution
     probabilities.  This simulator performs the complementary check: it
@@ -11,9 +11,9 @@
     {!holding_times_for}, the empirical figure converges to Eq. (1) as
     the horizon grows — the property test in [test_energy.ml] checks
     this, closing the loop with {!Mm_omsm.Usage_profile}, which goes the
-    opposite way (observations → probabilities).  The fleet kernel's
-    differential tests in [test_fleet.ml] hold it equal to this walk,
-    segment for segment. *)
+    opposite way (observations → probabilities).  The Kolmogorov–Smirnov
+    gate in [test_fleet.ml] holds the fleet's per-device powers to the
+    distribution of this walk's. *)
 
 type segment = {
   mode : int;
@@ -29,12 +29,18 @@ type result = {
   n_transitions : int;
 }
 
+val stationary : Mm_omsm.Omsm.t -> float array
+(** Stationary distribution π of the embedded jump chain, by power
+    iteration of the lazy chain (I + P)/2 to an L1 step of 1e-15; a
+    mode without outgoing transitions self-loops. *)
+
 val holding_times_for : Mm_omsm.Omsm.t -> float array
 (** Mean residence times h_i (in arbitrary units) that make the
     semi-Markov walk's long-run usage profile equal the OMSM's published
     probabilities: h_i = Ψ_i / π_i with π the stationary distribution of
-    the embedded jump chain (uniform choice over outgoing transitions).
-    Modes with probability 0 get a vanishing holding time. *)
+    the embedded jump chain (uniform choice over outgoing transitions)
+    from {!stationary}, independently of the production solver.  Modes with probability 0 get a vanishing
+    holding time. *)
 
 val simulate :
   ?holding_times:float array ->

@@ -176,6 +176,82 @@ let test_simulate_validation () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "length mismatch accepted"
 
+(* Random OMSMs with 3–6 modes: a directed cycle through every mode
+   (so the chain is irreducible) plus random extra transitions, which
+   make out-degrees, and so π, uneven; Ψ is random too. *)
+let random_omsm seed =
+  let rng = Mm_util.Prng.create ~seed in
+  let n = 3 + Mm_util.Prng.int rng 4 in
+  let weights = Array.init n (fun _ -> 0.1 +. Mm_util.Prng.float rng 1.0) in
+  let total = Array.fold_left ( +. ) 0.0 weights in
+  let graph = F.chain_graph () in
+  let modes =
+    List.init n (fun id ->
+        Mm_omsm.Mode.make ~id ~name:(Printf.sprintf "m%d" id) ~graph ~period:1.0
+          ~probability:(weights.(id) /. total))
+  in
+  let transitions =
+    List.concat
+      (List.init n (fun src ->
+           List.filter_map
+             (fun dst ->
+               if dst = src then None
+               else if dst = (src + 1) mod n || Mm_util.Prng.chance rng 0.4 then
+                 Some (Mm_omsm.Transition.make ~src ~dst ~max_time:1.0)
+               else None)
+             (List.init n Fun.id)))
+  in
+  Mm_omsm.Omsm.make ~name:"random" ~modes ~transitions
+
+(* The oracle walk is the reference the closed-form fleet is tested
+   against, so its own long-run behaviour is pinned here: over 24
+   independent walks of 20,000 time units (about 20,000 transitions
+   each), every mode's mean time share lies within 5 standard errors of
+   its Ψ, and the mean power within 5 standard errors of Eq. (1).  A
+   holding-time table built on any π but the embedded chain's exact one
+   misses by more. *)
+let prop_walk_realises_psi =
+  QCheck.Test.make ~name:"oracle walk's time shares match Ψ (random OMSMs)"
+    ~count:40 QCheck.small_nat (fun seed ->
+      let omsm = random_omsm seed in
+      let n = Mm_omsm.Omsm.n_modes omsm in
+      let mode_powers =
+        Array.init n (fun mode_id ->
+            {
+              Power.mode_id;
+              dyn_power = 1e-3 *. float_of_int (1 + (mode_id * mode_id));
+              static_power = 0.0;
+              active_pes = [];
+              active_cls = [];
+              shut_down_pes = [];
+              shut_down_cls = [];
+            })
+      in
+      let walks = 24 in
+      let base = Mm_util.Prng.create ~seed:(1000 + seed) in
+      let runs =
+        Array.init walks (fun i ->
+            Trace_sim.simulate ~omsm ~mode_powers ~horizon:20_000.0
+              (Mm_util.Prng.stream base i))
+      in
+      let within target samples =
+        let k = float_of_int walks in
+        let mean = Array.fold_left ( +. ) 0.0 samples /. k in
+        let var =
+          Array.fold_left (fun acc x -> acc +. ((x -. mean) ** 2.0)) 0.0 samples /. (k -. 1.0)
+        in
+        Float.abs (mean -. target) <= 5.0 *. sqrt (var /. k)
+      in
+      List.for_all
+        (fun i ->
+          within
+            (Mm_omsm.Mode.probability (Mm_omsm.Omsm.mode omsm i))
+            (Array.map (fun r -> r.Trace_sim.empirical_probability.(i)) runs))
+        (List.init n Fun.id)
+      && within
+           (Power.average_of_omsm ~omsm mode_powers)
+           (Array.map (fun r -> r.Trace_sim.empirical_power) runs))
+
 (* --- Battery ---------------------------------------------------------------- *)
 
 module Battery = Mm_energy.Battery
@@ -238,6 +314,8 @@ let () =
           Alcotest.test_case "converges to Eq.(1)" `Quick test_simulate_converges_to_analytic;
           Alcotest.test_case "absorbing mode" `Quick test_simulate_absorbing_mode;
           Alcotest.test_case "validation" `Quick test_simulate_validation;
+          QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 2003 |])
+            prop_walk_realises_psi;
         ] );
       ( "battery",
         [

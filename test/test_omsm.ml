@@ -147,54 +147,32 @@ let test_stationary_two_state () =
   Alcotest.(check (float 1e-6)) "half" 0.5 pi.(0)
 
 let test_stationary_biased () =
-  (* 0 mostly stays; 1 always leaves: pi0 should dominate. *)
+  (* 0 mostly stays; 1 always leaves: the exact solve gives
+     pi = (10/11, 1/11). *)
   let pi = Usage_profile.stationary [| [| 0.9; 0.1 |]; [| 1.0; 0.0 |] |] in
-  Alcotest.(check bool) "mode 0 dominates" true (pi.(0) > 0.85);
-  Alcotest.(check (float 1e-9)) "sums to 1" 1.0 (pi.(0) +. pi.(1))
+  Alcotest.(check (float 1e-12)) "pi0" (10.0 /. 11.0) pi.(0);
+  Alcotest.(check (float 1e-12)) "pi1" (1.0 /. 11.0) pi.(1)
 
 let test_stationary_rejects_non_stochastic () =
   match Usage_profile.stationary [| [| 0.5; 0.2 |]; [| 1.0; 0.0 |] |] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "non-stochastic accepted"
 
-let test_stationary_damping_periodic () =
-  (* The period-2 chain has no plain power-iteration limit (the iterates
-     oscillate); any damping < 1 still converges to the uniform
-     fixpoint. *)
-  List.iter
-    (fun damping ->
-      let pi = Usage_profile.stationary ~damping [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |] in
-      Alcotest.(check (float 1e-6)) "uniform" 0.5 pi.(0))
-    [ 0.25; 0.5; 0.95 ]
-
-let test_stationary_damping_one_is_exact () =
-  (* Damping < 1 smooths the fixpoint toward uniform (the PageRank
-     trade: guaranteed convergence for a small bias); damping 1.0 is
-     the plain power iteration, whose fixpoint on this ergodic chain
-     is the exact stationary distribution pi = (10/11, 1/11).  Passing
-     the default value explicitly must match the default exactly. *)
-  let matrix = [| [| 0.9; 0.1 |]; [| 1.0; 0.0 |] |] in
-  let plain = Usage_profile.stationary ~damping:1.0 matrix in
-  Alcotest.(check (float 1e-9)) "exact pi0" (10.0 /. 11.0) plain.(0);
-  Alcotest.(check (float 1e-9)) "exact pi1" (1.0 /. 11.0) plain.(1);
-  let damped = Usage_profile.stationary matrix in
-  let explicit = Usage_profile.stationary ~damping:0.95 matrix in
-  Array.iteri
-    (fun i p -> Alcotest.(check (float 0.0)) "explicit default" p damped.(i))
-    explicit;
-  (* The default's uniform bias is small but real on this chain. *)
-  Alcotest.(check bool) "default biased toward uniform" true
-    (damped.(0) < plain.(0) && damped.(0) > 0.88)
-
-let test_stationary_damping_validation () =
-  List.iter
-    (fun damping ->
-      match
-        Usage_profile.stationary ~damping [| [| 0.0; 1.0 |]; [| 1.0; 0.0 |] |]
-      with
-      | exception Invalid_argument _ -> ()
-      | _ -> Alcotest.fail "bad damping accepted")
-    [ 0.0; -0.5; 1.5; Float.nan ]
+let test_stationary_transient_and_closed_classes () =
+  (* Mode 0 drains into the cycle 1 <-> 2: it is transient (pi = 0
+     exactly) and the cycle splits evenly. *)
+  let pi =
+    Usage_profile.stationary
+      [| [| 0.5; 0.5; 0.0 |]; [| 0.0; 0.0; 1.0 |]; [| 0.0; 1.0; 0.0 |] |]
+  in
+  Alcotest.(check (array (float 1e-12))) "transient mode gets 0" [| 0.0; 0.5; 0.5 |] pi;
+  (* Two absorbing modes: two closed classes, no unique pi. *)
+  match
+    Usage_profile.stationary
+      [| [| 1.0; 0.0; 0.0 |]; [| 0.5; 0.0; 0.5 |]; [| 0.0; 0.0; 1.0 |] |]
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "two closed classes accepted"
 
 let test_probabilities_weight_by_holding_time () =
   (* Alternation with 9:1 holding times = 0.9/0.1 usage profile. *)
@@ -272,12 +250,8 @@ let () =
           Alcotest.test_case "validation" `Quick test_embedded_chain_validation;
           Alcotest.test_case "stationary two-state" `Quick test_stationary_two_state;
           Alcotest.test_case "stationary biased" `Quick test_stationary_biased;
-          Alcotest.test_case "stationary damping on a periodic chain" `Quick
-            test_stationary_damping_periodic;
-          Alcotest.test_case "stationary damping 1.0 is exact" `Quick
-            test_stationary_damping_one_is_exact;
-          Alcotest.test_case "stationary damping validation" `Quick
-            test_stationary_damping_validation;
+          Alcotest.test_case "stationary transient and closed classes" `Quick
+            test_stationary_transient_and_closed_classes;
           Alcotest.test_case "non-stochastic rejected" `Quick
             test_stationary_rejects_non_stochastic;
           Alcotest.test_case "holding times weight" `Quick
