@@ -115,9 +115,15 @@ type sim = {
    distribution of the embedded jump chain: the chain then spends the
    long-run share Ψ_i in mode i.  A mode with π_i = 0 or Ψ_i = 0 gets a
    vanishing holding time. *)
+let holding_into pi psi h =
+  for i = 0 to Array.length pi - 1 do
+    h.(i) <- (if pi.(i) <= 0.0 then 1e-9 else Float.max 1e-9 (psi.(i) /. pi.(i)))
+  done
+
 let holding_of_psi pi psi =
-  Array.init (Array.length pi) (fun i ->
-      if pi.(i) <= 0.0 then 1e-9 else Float.max 1e-9 (psi.(i) /. pi.(i)))
+  let h = Array.make (Array.length pi) 0.0 in
+  holding_into pi psi h;
+  h
 
 let compile ~omsm ~mode_powers =
   let n = Omsm.n_modes omsm in
@@ -159,17 +165,78 @@ let compile ~omsm ~mode_powers =
     z;
   }
 
+(* A usage model with its per-query constants worked out, so that a
+   device's draw only reads them. *)
+type usage =
+  | Published
+  | Jitter of float
+  | Concentrations of float array  (* c·max(1e-9, Ψ_i), [sample_psi]'s α *)
+  | Profiles of {
+      weights : float array;
+      total : float;  (* Σ weights, summed in profile order *)
+      holdings : float array array;  (* each profile's normalised holding times *)
+    }
+
+(* One device's result, a flat float record so that storing it
+   allocates nothing. *)
+type draw = { mutable watts : float; mutable transitions : float }
+
+(* Everything a device works in, allocated once per query: a device
+   then allocates only its generator and the boxed results of its few
+   calls into other modules, about 20 words. *)
+type scratch = {
+  usage : usage;
+  h : float array;  (* the device's holding times h′ *)
+  v : float array;  (* its Ψ′, then h′∘f̃ *)
+  out : draw;
+}
+
+let scratch sim model =
+  let n = Array.length sim.pi in
+  let usage =
+    match model with
+    | Point -> Published
+    | Holding_jitter { sigma } -> Jitter sigma
+    | Dirichlet { concentration } ->
+      Concentrations (Array.map (fun p -> concentration *. Float.max 1e-9 p) sim.base_psi)
+    | Mixture profiles ->
+      let profiles = Array.of_list profiles in
+      let weights = Array.map (fun p -> p.weight) profiles in
+      Profiles
+        {
+          weights;
+          total = Array.fold_left ( +. ) 0.0 weights;
+          holdings = Array.map (fun p -> holding_of_psi sim.pi (normalise p.psi)) profiles;
+        }
+  in
+  { usage; h = Array.make n 0.0; v = Array.make n 0.0; out = { watts = 0.0; transitions = 0.0 } }
+
 (* Per-device holding times.  Draw order matches [sample_psi] so the
    usage models consume the stream identically whether they drive the
    fleet or the robust-fitness Ψ samples. *)
-let device_holding sim model rng =
-  match model with
-  | Point -> sim.base_holding
-  | Holding_jitter { sigma } ->
-    Array.map
-      (fun h -> h *. exp ((sigma *. Prng.gaussian rng) -. (0.5 *. sigma *. sigma)))
-      sim.base_holding
-  | Dirichlet _ | Mixture _ -> holding_of_psi sim.pi (sample_psi model ~base:sim.base_psi rng)
+let draw_holding sim sc rng =
+  let h = sc.h in
+  match sc.usage with
+  | Published -> sim.base_holding
+  | Jitter sigma ->
+    Prng.gaussians_into rng h;
+    for i = 0 to Array.length h - 1 do
+      h.(i) <- sim.base_holding.(i) *. exp ((sigma *. h.(i)) -. (0.5 *. sigma *. sigma))
+    done;
+    h
+  | Concentrations alpha ->
+    Prng.dirichlet_into rng alpha sc.v;
+    holding_into sim.pi sc.v h;
+    h
+  | Profiles { weights; total; holdings } ->
+    let u = Prng.float rng 1.0 *. total in
+    let last = Array.length weights - 1 in
+    let k = ref 0 and acc = ref 0.0 in
+    while !k < last && not (u < !acc +. weights.(!k)) do
+      acc := !acc +. weights.(!k);
+      incr k
+    done;
+    holdings.(!k)
 
 (* With holding times h, the device is a continuous-time Markov chain
    whose time shares are s = π∘h/⟨π,h⟩.  Its time-averaged power over a
@@ -177,10 +244,10 @@ let device_holding sim model rng =
    (g_start − ⟨s,g⟩)/T, and variance σ²/T with σ² = 2 Σ s_i f̃_i g_i,
    where f̃ = power − m and g = Z(h∘f̃) solves the Poisson equation
    (I − P) g = h∘f̃.  The draw is clamped to the mode powers' range,
-   where every time average lies. *)
-let device sim ~model ~horizon rng =
-  let h = device_holding sim model rng in
-  let pi = sim.pi and power = sim.power and z = sim.z in
+   where every time average lies.  The result goes to [sc.out]. *)
+let draw_device sim sc ~horizon rng =
+  let h = draw_holding sim sc rng in
+  let pi = sim.pi and power = sim.power and z = sim.z and v = sc.v in
   let n = Array.length pi in
   let d = ref 0.0 and e = ref 0.0 in
   for i = 0 to n - 1 do
@@ -190,11 +257,16 @@ let device sim ~model ~horizon rng =
   done;
   let d = !d in
   let m = !e /. d in
-  let v = Array.init n (fun i -> h.(i) *. (power.(i) -. m)) in
+  for i = 0 to n - 1 do
+    v.(i) <- h.(i) *. (power.(i) -. m)
+  done;
   let variance = ref 0.0 and s_g = ref 0.0 and g_start = ref 0.0 in
   for i = 0 to n - 1 do
+    let zi = z.(i) in
     let g = ref 0.0 in
-    Array.iteri (fun j zij -> g := !g +. (zij *. v.(j))) z.(i);
+    for j = 0 to n - 1 do
+      g := !g +. (zi.(j) *. v.(j))
+    done;
     let g = !g in
     variance := !variance +. (pi.(i) *. v.(i) *. g);
     s_g := !s_g +. (pi.(i) *. h.(i) *. g);
@@ -202,8 +274,14 @@ let device sim ~model ~horizon rng =
   done;
   let variance = Float.max 0.0 (2.0 *. !variance /. d) in
   let mean = m +. ((!g_start -. (!s_g /. d)) /. horizon) in
-  let power = mean +. (sqrt (variance /. horizon) *. Prng.gaussian rng) in
-  (Float.min sim.hi_power (Float.max sim.lo_power power), horizon *. sim.live /. d)
+  let watts = mean +. (sqrt (variance /. horizon) *. Prng.gaussian rng) in
+  sc.out.watts <- Float.min sim.hi_power (Float.max sim.lo_power watts);
+  sc.out.transitions <- horizon *. sim.live /. d
+
+let device sim ~model ~horizon rng =
+  let sc = scratch sim model in
+  draw_device sim sc ~horizon rng;
+  (sc.out.watts, sc.out.transitions)
 
 (* The smallest horizon, in expected transitions of the embedded chain
    under the published Ψ, at which the normal law above passes the
@@ -289,12 +367,13 @@ let nearest_rank_percentiles values qs =
       v)
     qs
 
-(* [pool] is accepted and not used.  A closed-form device costs 2–3 µs,
-   so a 50,000-device query is 90–140 ms on one domain; fanning it over
-   a 2-domain pool took about 50 ms, but in a process that also
-   spawns and joins other domains between queries (the benchmark's
-   set-up samples) it raised the peak RSS from about 15 to 20 MB, where
-   the serial loop stays at about 15 MB. *)
+(* [pool] is accepted and not used.  A device costs about 0.3 µs under
+   [point] and 1 µs under [dirichlet:50] on a 2-vCPU Xeon, so the
+   benchmark's 50,000-device query takes about 50 ms on one domain.
+   Fanning the former 2–3 µs device over a 2-domain pool halved the
+   query, but in a process that also spawns and joins other domains
+   between queries (the benchmark's set-up samples) it raised the peak
+   RSS from about 15 to 20 MB; the serial loop stays at about 15 MB. *)
 let run ?pool:_ ?(model = Point) ?(battery = Battery.phone_cell) ?(horizon = 10_000.0)
     ~devices ~omsm ~mode_powers ~seed () =
   if devices <= 0 then invalid_arg "Fleet_sim.run: need at least one device";
@@ -307,28 +386,37 @@ let run ?pool:_ ?(model = Point) ?(battery = Battery.phone_cell) ?(horizon = 10_
          horizon (min_horizon sim) min_transitions);
   (* Device [i]'s generator is a pure function of (seed, i). *)
   let base = Prng.create ~seed in
+  let sc = scratch sim model in
+  let lifetimes = Array.make devices 0.0 in
   let power_sum = ref 0.0 and transition_sum = ref 0.0 in
-  let lifetimes =
-    Array.init devices (fun i ->
-        let power, transitions = device sim ~model ~horizon (Prng.stream base i) in
-        power_sum := !power_sum +. power;
-        transition_sum := !transition_sum +. transitions;
-        if power > 0.0 then Battery.lifetime_hours battery ~average_power:power
-        else Float.infinity)
-  in
+  for i = 0 to devices - 1 do
+    draw_device sim sc ~horizon (Prng.stream base i);
+    let power = sc.out.watts in
+    power_sum := !power_sum +. power;
+    transition_sum := !transition_sum +. sc.out.transitions;
+    lifetimes.(i) <-
+      (if power > 0.0 then Battery.lifetime_hours battery ~average_power:power
+       else Float.infinity)
+  done;
   let nf = float_of_int devices in
   let min_hours = ref Float.infinity and max_hours = ref Float.neg_infinity in
   let hour_sum = ref 0.0 in
-  Array.iter
-    (fun (l : float) ->
-      if l < !min_hours then min_hours := l;
-      if l > !max_hours then max_hours := l;
-      hour_sum := !hour_sum +. l)
-    lifetimes;
+  for i = 0 to devices - 1 do
+    let l = lifetimes.(i) in
+    if l < !min_hours then min_hours := l;
+    if l > !max_hours then max_hours := l;
+    hour_sum := !hour_sum +. l
+  done;
   let mean_hours = !hour_sum /. nf in
-  let square_dev acc l = acc +. ((l -. mean_hours) *. (l -. mean_hours)) in
   let stddev_hours =
-    if Float.is_finite mean_hours then sqrt (Array.fold_left square_dev 0.0 lifetimes /. nf)
+    if Float.is_finite mean_hours then begin
+      let square_dev = ref 0.0 in
+      for i = 0 to devices - 1 do
+        let dev = lifetimes.(i) -. mean_hours in
+        square_dev := !square_dev +. (dev *. dev)
+      done;
+      sqrt (!square_dev /. nf)
+    end
     else Float.nan
   in
   let stats =

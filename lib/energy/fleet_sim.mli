@@ -85,7 +85,10 @@ val device : sim -> model:usage_model -> horizon:float -> Mm_util.Prng.t -> floa
 (** One device: draws its Ψ′ (as {!sample_psi} would), then its
     time-averaged power over [horizon] from the normal law above, clamped
     to the range of the mode powers.  Returns (power, expected number of
-    transitions).  No horizon floor is checked here; {!run} does. *)
+    transitions).  It runs {!run}'s per-device kernel on a scratch of its
+    own, so device [i] of a run is [device] on [Prng.stream] [i] of the
+    run seed, bit for bit.  No horizon floor is checked here; {!run}
+    does. *)
 
 (** {1 Fleet runs} *)
 
@@ -122,9 +125,10 @@ val run :
   seed:int ->
   unit ->
   result
-(** Draw the fleet, on the calling domain.  [pool] is accepted and not
-    used: the closed form is cheap enough (2–3 µs a device) that a
-    fan-out's memory cost outweighs its wall-clock gain.  [model] defaults to
+(** Draw the fleet, on the calling domain, every device in one scratch
+    allocated per query.  [pool] is accepted and not used: the closed
+    form is cheap enough (about 1 µs a device under [dirichlet:50]) that
+    a fan-out's memory cost outweighs its wall-clock gain.  [model] defaults to
     [Point], [battery] to {!Battery.phone_cell}, [horizon] to 10\,000
     time units.  Percentiles come from quickselect on one copy of the
     lifetimes, not a sort.  Raises [Invalid_argument] on non-positive

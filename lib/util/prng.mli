@@ -71,6 +71,12 @@ val chance : t -> float -> bool
 val gaussian : t -> float
 (** Standard normal draw (Box–Muller). *)
 
+val gaussians_into : t -> float array -> unit
+(** [gaussians_into t out] fills [out] with independent standard normal
+    draws, in index order: bit for bit the values of
+    [Array.length out] successive {!gaussian} calls, leaving [t] in the
+    same state, without allocating. *)
+
 val pick : t -> 'a list -> 'a
 (** Uniform choice from a non-empty list.  Raises [Invalid_argument] on an
     empty list. *)
@@ -100,6 +106,14 @@ val dirichlet : t -> float array -> float array
     Every entry of [alpha] must be positive and finite; the result is
     positive and sums to 1.  Raises [Invalid_argument] on an empty
     vector. *)
+
+val dirichlet_into : t -> float array -> float array -> unit
+(** [dirichlet_into t alpha out] is {!dirichlet} written into [out]
+    (which must have [alpha]'s length): the same weights bit for bit,
+    and the same state of [t] afterwards.  It draws on a local copy of
+    the state word, stored back once, and allocates nothing.  Raises
+    [Invalid_argument] as {!dirichlet} does, or on a length mismatch,
+    before drawing. *)
 
 val dirichlet_like : t -> int -> skew:float -> float array
 (** [dirichlet_like t n ~skew] draws [n] positive weights summing to 1.

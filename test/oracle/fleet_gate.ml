@@ -75,6 +75,14 @@ type cell = {
 
 let passes c = c.d <= c.critical
 
+(* The oracle walks a cell on [seed] compares against: [devices] walk
+   powers on seed [seed + 1]. *)
+let walks ?(devices = 4000) ?(seed = 7) ~omsm ~mode_powers ~model ~horizon () =
+  let walk_base = Prng.create ~seed:(seed + 1) in
+  let pi = Trace_sim.stationary omsm and base = Trace_sim.holding_times_for omsm in
+  Array.init devices (fun i ->
+      walk_power ~omsm ~mode_powers ~pi ~base ~model ~horizon (Prng.stream walk_base i))
+
 (* [devices] closed-form draws on seed [seed] against as many walks on
    seed [seed + 1]; [alpha] is the cell's own level. *)
 let cell ?(devices = 4000) ?(seed = 7) ~alpha ~name ~model ~horizon () =
@@ -82,21 +90,16 @@ let cell ?(devices = 4000) ?(seed = 7) ~alpha ~name ~model ~horizon () =
   let omsm = Spec.omsm spec in
   let mode_powers = mode_powers spec in
   let sim = Fleet_sim.compile ~omsm ~mode_powers in
-  let closed_base = Prng.create ~seed and walk_base = Prng.create ~seed:(seed + 1) in
+  let closed_base = Prng.create ~seed in
   let closed =
     Array.init devices (fun i ->
         fst (Fleet_sim.device sim ~model ~horizon (Prng.stream closed_base i)))
-  in
-  let pi = Trace_sim.stationary omsm and base = Trace_sim.holding_times_for omsm in
-  let walks =
-    Array.init devices (fun i ->
-        walk_power ~omsm ~mode_powers ~pi ~base ~model ~horizon (Prng.stream walk_base i))
   in
   {
     name;
     model;
     horizon;
-    d = ks_statistic closed walks;
+    d = ks_statistic closed (walks ~devices ~seed ~omsm ~mode_powers ~model ~horizon ());
     critical = critical ~alpha ~n:devices ~m:devices;
   }
 

@@ -23,6 +23,19 @@ val passes : cell -> bool
 val models : Mm_energy.Fleet_sim.usage_model list
 (** [point], [dirichlet:50] and [jitter:0.3]. *)
 
+val walks :
+  ?devices:int ->
+  ?seed:int ->
+  omsm:Mm_omsm.Omsm.t ->
+  mode_powers:Mm_energy.Power.mode_power array ->
+  model:Mm_energy.Fleet_sim.usage_model ->
+  horizon:float ->
+  unit ->
+  float array
+(** The time-averaged powers of the oracle walks a {!cell} on the same
+    [devices] and [seed] compares against: [devices] (default 4000)
+    walks on streams of seed [seed + 1] (default 8). *)
+
 val cell :
   ?devices:int ->
   ?seed:int ->

@@ -6,7 +6,8 @@
      ([Trace_sim], in mm_oracle): a two-sample Kolmogorov–Smirnov test
      on fixed seeds, 4,000 devices per arm, on the smartphone, mul3 and
      mul12 under three usage models (the full 13-spec grid is
-     test/ks_gate, run in CI);
+     test/ks_gate, run in CI), and each reported percentile lies in the
+     walks' order-statistic interval;
    - the fleet mean power converges to the analytic Eq. (1) figure,
      within 4 standard errors on the smartphone at 10^4 devices and
      horizon 10^4;
@@ -16,8 +17,11 @@
      for bit, ties and +∞ included;
    - σ = 0 jitter draws the published Ψ, and the robust objective over
      jitter draws stays within a mapping's per-mode power extremes;
-   - every report bit is invariant under --jobs, and the smartphone
-     anchor's report is pinned by digest;
+   - every report bit is invariant under --jobs, the smartphone
+     anchor's report is pinned by digest under all four usage models,
+     and a device allocates at most 64 minor words;
+   - the in-place gamma, Dirichlet and normal samplers reproduce the
+     allocating ones ([Prng_oracle]) bit for bit;
    - export-json → parse → re-emit is byte-identical, and the exporter
      never raises on a synthesizable benchmark. *)
 
@@ -149,6 +153,78 @@ let test_ks_gate () =
       Alcotest.(check bool) (Format.asprintf "%a" Fleet_gate.pp_cell c) true
         (Fleet_gate.passes c))
     cells
+
+(* Distribution-free interval for the q-quantile ξ from the ascending
+   sample [sorted] of size m: the number B of samples below ξ is
+   Binomial(m, q), so with l the largest rank where P(B < l) ≤ α/2 and
+   u the smallest where P(B ≥ u) ≤ α/2, [X_(l), X_(u)] holds ξ with
+   probability at least 1 − α (a missing rank is ∓∞).  The binomial
+   masses are summed from log space. *)
+let order_statistic_interval ~alpha ~q sorted =
+  let m = Array.length sorted in
+  let pmf = Array.make (m + 1) 0.0 in
+  let log_mass = ref (float_of_int m *. log1p (-.q)) in
+  for k = 0 to m do
+    pmf.(k) <- exp !log_mass;
+    if k < m then
+      log_mass :=
+        !log_mass
+        +. log (float_of_int (m - k) /. float_of_int (k + 1))
+        +. log q -. log1p (-.q)
+  done;
+  let below = ref 0.0 and l = ref 0 in
+  while !below +. pmf.(!l) <= alpha /. 2.0 do
+    below := !below +. pmf.(!l);
+    incr l
+  done;
+  let above = ref 0.0 and u = ref (m + 1) in
+  while !above +. pmf.(!u - 1) <= alpha /. 2.0 do
+    above := !above +. pmf.(!u - 1);
+    decr u
+  done;
+  ( (if !l >= 1 then sorted.(!l - 1) else Float.neg_infinity),
+    if !u <= m then sorted.(!u - 1) else Float.infinity )
+
+(* Each reported percentile of a 50,000-device closed-form fleet
+   (smartphone anchor, T = 1000) must lie in the order-statistic
+   interval above of the same quantile over Fleet_gate's 4,000 oracle
+   walks, mapped through the same battery.  Ten checks (p1, p10, p50,
+   p90, p99 under point and dirichlet:50) share α = 0.01 by Bonferroni,
+   0.001 each.  The fleet's own percentile is a sample too, but from
+   12.5 times as many devices, so its standard error is about a third
+   of the walks'. *)
+let test_percentiles_within_walk_intervals () =
+  (* The textbook case: the 95 % interval of a median from 10 samples
+     is [X_(2), X_(9)]. *)
+  Alcotest.(check (pair (float 0.0) (float 0.0))) "median of 10 at 95 %" (2.0, 9.0)
+    (order_statistic_interval ~alpha:0.05 ~q:0.5 (Array.init 10 (fun i -> float_of_int (i + 1))));
+  let omsm, mode_powers = smartphone_anchor () in
+  let horizon = 1000.0 in
+  let models = [ Fleet_sim.Point; Fleet_sim.Dirichlet { concentration = 50.0 } ] in
+  let alpha = 0.01 /. 10.0 in
+  List.iter
+    (fun model ->
+      let fleet = Fleet_sim.run ~model ~horizon ~devices:50_000 ~omsm ~mode_powers ~seed:1 () in
+      let walks =
+        Array.map
+          (fun power ->
+            if power > 0.0 then Battery.lifetime_hours Battery.phone_cell ~average_power:power
+            else Float.infinity)
+          (Fleet_gate.walks ~omsm ~mode_powers ~model ~horizon ())
+      in
+      Array.sort Float.compare walks;
+      List.iter
+        (fun (rank, hours) ->
+          let lo, hi =
+            order_statistic_interval ~alpha ~q:(float_of_int rank /. 100.0) walks
+          in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s p%d = %.4f h within the walks' [%.4f, %.4f] h"
+               (Fleet_sim.model_to_string model) rank hours lo hi)
+            true
+            (lo <= hours && hours <= hi))
+        fleet.Fleet_sim.stats.Fleet_sim.percentiles)
+    models
 
 (* Modes 1 and 2 both absorb: two closed classes, so the long-run usage
    depends on the first step and there is no unique π. *)
@@ -308,9 +384,24 @@ let test_jobs_bit_invariance () =
   (* Same seed, fresh run: the report is a pure function of its inputs. *)
   check_same "replay" (run ())
 
+(* Two smartphone usage profiles: the published Ψ, and a heavy user who
+   lives in the modes the published profile rarely visits (unnormalised,
+   as a profile may be). *)
+let smartphone_mixture =
+  Fleet_sim.Mixture
+    [
+      {
+        Fleet_sim.name = "published";
+        weight = 3.0;
+        psi = [| 0.09; 0.74; 0.01; 0.02; 0.02; 0.10; 0.01; 0.01 |];
+      };
+      { Fleet_sim.name = "heavy"; weight = 1.0; psi = [| 2.0; 1.0; 1.0; 3.0; 1.0; 1.0; 2.0; 1.0 |] };
+    ]
+
 (* Golden pin: the smartphone greedy-timing anchor (the benchmark's
-   fleet design), 2,000 devices, horizon 1000, seed 1000.  Any change to
-   the closed form's arithmetic or draw order moves the digests. *)
+   fleet design), 2,000 devices, horizon 1000, seed 1000, under all four
+   usage models.  Any change to the closed form's arithmetic or draw
+   order moves the digests. *)
 let test_golden_report () =
   let omsm, mode_powers = smartphone_anchor () in
   List.iter
@@ -325,6 +416,37 @@ let test_golden_report () =
     [
       (Fleet_sim.Point, "7e3fc1bf404cfa987fe0d58eef7918fc");
       (Fleet_sim.Dirichlet { concentration = 50. }, "5f4786a10b7d754998fcc43257968388");
+      (Fleet_sim.Holding_jitter { sigma = 0.3 }, "0178856637ee12ae74d2221e2992d543");
+      (smartphone_mixture, "5dbed6011db9e04df4ca588f8b547a15");
+    ]
+
+(* A device draws into buffers allocated once per query: what it still
+   allocates is its generator and the boxed results of its few PRNG and
+   battery calls, about 20 words, where the allocating kernel took 400
+   (point) to 930 (dirichlet:50). *)
+let test_device_allocation () =
+  let omsm, mode_powers = smartphone_anchor () in
+  let devices = 10_000 in
+  List.iter
+    (fun model ->
+      let run () =
+        ignore
+          (Fleet_sim.run ~model ~horizon:1000.0 ~devices ~omsm ~mode_powers ~seed:1 ()
+            : Fleet_sim.result)
+      in
+      run ();
+      let before = Gc.minor_words () in
+      run ();
+      let words = (Gc.minor_words () -. before) /. float_of_int devices in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f minor words a device, at most 64"
+           (Fleet_sim.model_to_string model) words)
+        true (words <= 64.0))
+    [
+      Fleet_sim.Point;
+      Fleet_sim.Dirichlet { concentration = 50. };
+      Fleet_sim.Holding_jitter { sigma = 0.3 };
+      smartphone_mixture;
     ]
 
 let test_report_shape () =
@@ -415,6 +537,56 @@ let test_prng_gamma_dirichlet () =
   match Prng.dirichlet rng [||] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "empty dirichlet accepted"
+
+(* Shapes log-uniform over [1e-9, 200], so four in five are below 1 and
+   take the boosting path, with the edges and 1 itself mixed in. *)
+let shape_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 9,
+          map
+            (fun u -> exp (log 1e-9 +. (u *. (log 200.0 -. log 1e-9))))
+            (float_bound_inclusive 1.0) );
+        (1, oneofl [ 1e-9; 0.5; 1.0; 200.0 ]);
+      ])
+
+(* The in-place samplers draw on an unboxed local state word; the
+   allocating ones they replaced ([Prng_oracle]) are the reference, bit
+   for bit in every draw and in the generator state left behind.  The
+   robust objective's Ψ samples go through [Prng.dirichlet], so this
+   also keeps them unchanged. *)
+let prop_samplers_match_oracle =
+  QCheck.Test.make ~name:"in-place samplers ≡ allocating oracle (bits and state)"
+    ~count:(fuzz_count 300)
+    QCheck.(
+      pair int (make ~print:Print.(array float) Gen.(array_size (1 -- 12) shape_gen)))
+    (fun (seed, alpha) ->
+      let n = Array.length alpha in
+      let same draw reference =
+        let oracle = Prng.create ~seed and rng = Prng.create ~seed in
+        let expected = reference oracle and got = draw rng in
+        Array.map bits got = Array.map bits expected && Prng.state rng = Prng.state oracle
+      in
+      same (fun rng -> Prng.dirichlet rng alpha) (fun o -> Prng_oracle.dirichlet o alpha)
+      && same
+           (fun rng ->
+             let out = Array.make n Float.nan in
+             Prng.dirichlet_into rng alpha out;
+             out)
+           (fun o -> Prng_oracle.dirichlet o alpha)
+      && same
+           (fun rng -> Array.map (fun shape -> Prng.gamma rng ~shape) alpha)
+           (fun o -> Array.map (fun shape -> Prng_oracle.gamma o ~shape) alpha)
+      && same
+           (fun rng -> Array.init n (fun _ -> Prng.gaussian rng))
+           (fun o -> Array.init n (fun _ -> Prng_oracle.gaussian o))
+      && same
+           (fun rng ->
+             let out = Array.make n Float.nan in
+             Prng.gaussians_into rng out;
+             out)
+           (fun o -> Array.init n (fun _ -> Prng_oracle.gaussian o)))
 
 (* --- Battery inverse ------------------------------------------------------------ *)
 
@@ -579,6 +751,8 @@ let () =
             test_run_one_device_matches_kernel;
           Alcotest.test_case "smartphone out-degrees" `Quick test_smartphone_out_degrees;
           Alcotest.test_case "Kolmogorov–Smirnov gate, T = 1000" `Quick test_ks_gate;
+          Alcotest.test_case "percentiles within the walks' intervals" `Quick
+            test_percentiles_within_walk_intervals;
           Alcotest.test_case "two closed classes rejected" `Quick
             test_compile_rejects_two_closed_classes;
           Alcotest.test_case "horizon floor" `Quick test_horizon_floor;
@@ -597,6 +771,7 @@ let () =
           Alcotest.test_case "bit-invariant under jobs and replay" `Quick
             test_jobs_bit_invariance;
           Alcotest.test_case "golden report digests" `Quick test_golden_report;
+          Alcotest.test_case "device allocation" `Quick test_device_allocation;
           Alcotest.test_case "report shape" `Quick test_report_shape;
         ] );
       ( "usage models",
@@ -604,6 +779,7 @@ let () =
           Alcotest.test_case "sample_psi" `Quick test_sample_psi;
           Alcotest.test_case "validation" `Quick test_validate_model;
           Alcotest.test_case "gamma and dirichlet" `Quick test_prng_gamma_dirichlet;
+          QCheck_alcotest.to_alcotest prop_samplers_match_oracle;
           Alcotest.test_case "battery inverse" `Quick test_battery_inverse;
           Alcotest.test_case "robust objective" `Quick test_robust_power;
           Alcotest.test_case "zero jitter keeps Ψ" `Quick
