@@ -309,11 +309,11 @@ let ablation_ga_vs_sa options =
         List.map
           (fun seed ->
             let result =
-              Mm_cosynth.Annealing.run
-                ~config:{ Mm_cosynth.Annealing.default_config with Mm_cosynth.Annealing.steps = sa_steps }
+              Annealing.run
+                ~config:{ Annealing.default_config with Annealing.steps = sa_steps }
                 ~spec ~seed ()
             in
-            result.Mm_cosynth.Annealing.eval.Fitness.true_power)
+            result.Annealing.eval.Fitness.true_power)
           seeds
       in
       let sa_power = Stats.summarize sa_powers in

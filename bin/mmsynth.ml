@@ -5,8 +5,6 @@
      mmsynth check <spec> [--json]           validate, print diagnostics
      mmsynth synth <benchmark> [options]     synthesise one implementation
      mmsynth compare <benchmark> [options]   baseline vs proposed comparison
-     mmsynth anneal <benchmark> [options]    simulated-annealing baseline
-     mmsynth pareto <benchmark> [options]    power/area trade-off sweep
      mmsynth gantt <benchmark> [options]     synthesise and chart a mode
      mmsynth fleet <benchmark> <report>      Monte Carlo a device fleet
      mmsynth export <benchmark>              print the spec as S-expressions
@@ -577,9 +575,6 @@ let dvs_config_term =
     ~generations:(Term.const Engine.default_config.Engine.max_generations)
     ~population:(Term.const Engine.default_config.Engine.population_size)
 
-(* The fitness part alone, for the searches that are not the GA. *)
-let dvs_fitness_term = Term.(const (fun c -> c.Synthesis.fitness) $ dvs_config_term)
-
 let ( +> ) config update =
   Term.(const (fun config update -> update config) $ config $ update)
 
@@ -1033,119 +1028,6 @@ let gantt_cmd =
     (Cmd.info "gantt" ~doc:"Synthesise, then chart one mode's schedule as ASCII Gantt.")
     term
 
-(* --- anneal ---------------------------------------------------------------- *)
-
-let steps_arg =
-  Arg.(
-    value
-    & opt int Mm_cosynth.Annealing.default_config.Mm_cosynth.Annealing.steps
-    & info [ "steps" ] ~docv:"N" ~doc:"Simulated-annealing move budget.")
-
-let anneal name seed fitness steps =
-  let* spec = spec_of_benchmark name in
-  let config = { Mm_cosynth.Annealing.default_config with Mm_cosynth.Annealing.steps } in
-  let result = Mm_cosynth.Annealing.run ~config ~fitness ~spec ~seed () in
-  Format.printf "simulated annealing: %.4g mW (feasible %b, %d/%d moves accepted, %.1fs)@."
-    (result.Mm_cosynth.Annealing.eval.Fitness.true_power *. 1e3)
-    (Fitness.feasible result.Mm_cosynth.Annealing.eval)
-    result.Mm_cosynth.Annealing.accepted steps result.Mm_cosynth.Annealing.cpu_seconds;
-  Report.print_result spec
-    {
-      Synthesis.genome = result.Mm_cosynth.Annealing.genome;
-      eval = result.Mm_cosynth.Annealing.eval;
-      generations = 0;
-      evaluations = result.Mm_cosynth.Annealing.evaluations;
-      cpu_seconds = result.Mm_cosynth.Annealing.cpu_seconds;
-      history = [];
-      audit = None;
-    };
-  Ok ()
-
-let anneal_cmd =
-  let term =
-    Term.(
-      term_result (const anneal $ benchmark_arg $ seed_arg $ dvs_fitness_term $ steps_arg))
-  in
-  Cmd.v
-    (Cmd.info "anneal"
-       ~doc:"Map with the simulated-annealing baseline instead of the GA.")
-    term
-
-(* --- pareto ---------------------------------------------------------------- *)
-
-let scales_arg =
-  Arg.(
-    value
-    & opt (list float) [ 0.25; 0.5; 0.75; 1.0; 1.5; 2.0 ]
-    & info [ "scales" ] ~docv:"S1,S2,…" ~doc:"Hardware-area scale factors to sweep.")
-
-let pareto name seed scales =
-  let* spec = spec_of_benchmark name in
-  let points = Mm_cosynth.Pareto.sweep ~spec ~scales ~seed () in
-  let t =
-    Mm_util.Table.create ~title:"power/area trade-off"
-      ~columns:[ "area scale"; "HW capacity"; "HW used"; "p̄ (mW)"; "feasible"; "frontier" ]
-  in
-  let frontier = Mm_cosynth.Pareto.frontier points in
-  List.iter
-    (fun (p : Mm_cosynth.Pareto.point) ->
-      Mm_util.Table.add_row t
-        [
-          Printf.sprintf "%.2f" p.Mm_cosynth.Pareto.area_scale;
-          Printf.sprintf "%.0f" p.Mm_cosynth.Pareto.hw_area_capacity;
-          Printf.sprintf "%.0f" p.Mm_cosynth.Pareto.hw_area_used;
-          Printf.sprintf "%.3f" (p.Mm_cosynth.Pareto.power *. 1e3);
-          string_of_bool p.Mm_cosynth.Pareto.feasible;
-          (if List.memq p frontier then "*" else "");
-        ])
-    points;
-  Mm_util.Table.print t;
-  Ok ()
-
-let pareto_cmd =
-  let term = Term.(term_result (const pareto $ benchmark_arg $ seed_arg $ scales_arg)) in
-  Cmd.v
-    (Cmd.info "pareto" ~doc:"Sweep hardware-area budgets and report the trade-off curve.")
-    term
-
-(* --- frontier --------------------------------------------------------------- *)
-
-let frontier name seed fitness generations =
-  let* spec = spec_of_benchmark name in
-  let config =
-    { Mm_ga.Nsga2.default_config with Mm_ga.Nsga2.max_generations = generations }
-  in
-  let result = Mm_cosynth.Multi_objective.optimise ~config ~fitness ~spec ~seed () in
-  Format.printf "NSGA-II: %d generations, %d evaluations, %d trade-off points@."
-    result.Mm_cosynth.Multi_objective.generations
-    result.Mm_cosynth.Multi_objective.evaluations
-    (List.length result.Mm_cosynth.Multi_objective.front);
-  let t =
-    Mm_util.Table.create ~title:"power / hardware-area trade-off front"
-      ~columns:[ "HW area used (cells)"; "p̄ (mW)" ]
-  in
-  List.iter
-    (fun (p : Mm_cosynth.Multi_objective.point) ->
-      Mm_util.Table.add_row t
-        [
-          Printf.sprintf "%.0f" p.Mm_cosynth.Multi_objective.area;
-          Printf.sprintf "%.4f" (p.Mm_cosynth.Multi_objective.power *. 1e3);
-        ])
-    result.Mm_cosynth.Multi_objective.front;
-  Mm_util.Table.print t;
-  Ok ()
-
-let frontier_cmd =
-  let term =
-    Term.(
-      term_result
-        (const frontier $ benchmark_arg $ seed_arg $ dvs_fitness_term $ generations_arg))
-  in
-  Cmd.v
-    (Cmd.info "frontier"
-       ~doc:"Multi-objective synthesis (NSGA-II): the power/area trade-off in one run.")
-    term
-
 (* --- fleet ------------------------------------------------------------------- *)
 
 let fleet_report_arg =
@@ -1470,7 +1352,6 @@ let () =
     (Cmd.eval
        (Cmd.group ~default info
           [
-            show_cmd; check_cmd; synth_cmd; compare_cmd; anneal_cmd; pareto_cmd;
-            frontier_cmd; gantt_cmd; fleet_cmd;
+            show_cmd; check_cmd; synth_cmd; compare_cmd; gantt_cmd; fleet_cmd;
             export_cmd; export_json_cmd; dot_cmd; client_cmd;
           ]))

@@ -117,8 +117,7 @@ val evaluate_delta :
   config -> Spec.t -> parent:eval -> dirty:int list -> int array -> eval
 (** Incremental evaluation of a genome that differs from the already
     evaluated [parent] exactly at the genome positions in [dirty]
-    (ascending; typically reported by
-    [Mm_ga.Genome.point_mutate_tracked] or [Mm_ga.Genome.diff]).
+    (ascending; typically [Mm_ga.Genome.diff] of parent and child).
     Bit-identical to {!evaluate} (enforced by the delta equivalence
     tests), and the same pass: modes untouched by [dirty] reuse the
     parent's mobility analysis and (schedule, scaling, power) triple;

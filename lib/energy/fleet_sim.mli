@@ -16,11 +16,11 @@
     (mean, stddev, min/max and p1/p10/p50/p90/p99 nearest-rank
     percentiles via {!Battery.lifetime_hours}).
 
-    The law is held to the walk itself (kept as the test-only oracle
-    [Trace_sim] in [mm_oracle]) by a two-sample Kolmogorov–Smirnov
-    test, and {!run} refuses horizons under 200 expected transitions of
-    the embedded chain under the published Ψ (200 mean holding times
-    ⟨π, h⟩), near where that test starts to fail.  A one-device fleet
+    The law is held to the walk itself (kept in the test suite as an
+    oracle) by a two-sample Kolmogorov–Smirnov test, and {!run}
+    refuses horizons under 200 expected transitions of the embedded
+    chain under the published Ψ (200 mean holding times ⟨π, h⟩), near
+    where that test starts to fail.  A one-device fleet
     is one draw from the law, not a trace. *)
 
 (** {1 Usage models}

@@ -24,20 +24,6 @@ let point_mutate rng ~counts ~rate genome =
     (fun i _ -> if Prng.chance rng rate then genome.(i) <- Prng.int rng counts.(i))
     genome
 
-let point_mutate_tracked rng ~counts ~rate genome =
-  (* Same RNG stream as [point_mutate]: a draw per position plus one per
-     hit, in position order. *)
-  let touched = ref [] in
-  Array.iteri
-    (fun i _ ->
-      if Prng.chance rng rate then begin
-        let v = Prng.int rng counts.(i) in
-        if v <> genome.(i) then touched := i :: !touched;
-        genome.(i) <- v
-      end)
-    genome;
-  List.rev !touched
-
 let diff a b =
   if Array.length a <> Array.length b then invalid_arg "Genome.diff: length mismatch";
   let d = ref [] in

@@ -19,13 +19,6 @@ val point_mutate : Mm_util.Prng.t -> counts:int array -> rate:float -> int array
 (** In place: each gene is reset to a uniform value with probability
     [rate]. *)
 
-val point_mutate_tracked :
-  Mm_util.Prng.t -> counts:int array -> rate:float -> int array -> int list
-(** {!point_mutate} that also returns the positions whose value actually
-    changed, ascending (a redraw that lands on the old value is not
-    reported).  Consumes the identical RNG stream as {!point_mutate}, so
-    the two are interchangeable without disturbing reproducibility. *)
-
 val diff : int array -> int array -> int list
 (** Positions where the two genomes differ, ascending.  Suitable as the
     dirty set of a delta evaluation. *)

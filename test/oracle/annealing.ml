@@ -1,4 +1,7 @@
 module Prng = Mm_util.Prng
+module Fitness = Mm_cosynth.Fitness
+module Spec = Mm_cosynth.Spec
+module Synthesis = Mm_cosynth.Synthesis
 
 type config = {
   initial_temperature : float;

@@ -25,7 +25,7 @@ val default_config : config
 
 type result = {
   genome : int array;
-  eval : Fitness.eval;
+  eval : Mm_cosynth.Fitness.eval;
   accepted : int;  (** Accepted moves. *)
   evaluations : int;
   cpu_seconds : float;
@@ -33,10 +33,10 @@ type result = {
 
 val run :
   ?config:config ->
-  ?fitness:Fitness.config ->
-  spec:Spec.t ->
+  ?fitness:Mm_cosynth.Fitness.config ->
+  spec:Mm_cosynth.Spec.t ->
   seed:int ->
   unit ->
   result
-(** Starts from the best software anchor (see {!Synthesis}) when one
+(** Starts from the best software anchor (see {!Mm_cosynth.Synthesis}) when one
     exists, otherwise from a random genome. *)

@@ -643,8 +643,6 @@ let test_synthesis_without_improvements () =
 
 (* --- Annealing -------------------------------------------------------------- *)
 
-module Annealing = Mm_cosynth.Annealing
-
 let test_annealing_finds_fig2_optimum () =
   let spec = fig2_spec () in
   let result = Annealing.run ~spec ~seed:3 () in
@@ -679,101 +677,6 @@ let test_annealing_genome_valid () =
   Alcotest.(check bool) "valid genome" true
     (Mm_ga.Genome.validate ~counts:(Spec.gene_counts spec) result.Annealing.genome);
   Alcotest.(check bool) "some moves accepted" true (result.Annealing.accepted > 0)
-
-(* --- Pareto ------------------------------------------------------------------ *)
-
-module Pareto = Mm_cosynth.Pareto
-
-let test_scale_architecture () =
-  let spec = two_mode_spec () in
-  let scaled = Pareto.scale_architecture spec 0.5 in
-  let area spec = Mm_arch.Pe.area_capacity (Arch.pe (Spec.arch spec) 1) in
-  Alcotest.(check (float 1e-9)) "halved" (area spec /. 2.0) (area scaled);
-  match Pareto.scale_architecture spec 0.0 with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "zero factor accepted"
-
-let test_pareto_sweep_and_frontier () =
-  let spec = two_mode_spec () in
-  let config =
-    {
-      Synthesis.default_config with
-      ga = { Engine.default_config with max_generations = 25; population_size = 20 };
-      restarts = 1;
-    }
-  in
-  let points = Pareto.sweep ~config ~spec ~scales:[ 0.01; 1.0; 3.0 ] ~seed:3 () in
-  Alcotest.(check int) "three points" 3 (List.length points);
-  let frontier = Pareto.frontier points in
-  Alcotest.(check bool) "frontier non-empty" true (frontier <> []);
-  (* The frontier is sorted by capacity and strictly improving in power. *)
-  let rec check_sorted = function
-    | a :: (b :: _ as rest) ->
-      Alcotest.(check bool) "capacity ascending" true
-        (a.Pareto.hw_area_capacity <= b.Pareto.hw_area_capacity);
-      Alcotest.(check bool) "power descending" true (a.Pareto.power >= b.Pareto.power);
-      check_sorted rest
-    | [ _ ] | [] -> ()
-  in
-  check_sorted frontier;
-  (* More hardware area can never force higher minimal power, so the
-     largest-capacity frontier point has the lowest power of all. *)
-  let best_power =
-    List.fold_left (fun acc p -> Float.min acc p.Pareto.power) infinity points
-  in
-  match List.rev frontier with
-  | last :: _ -> Alcotest.(check (float 1e-9)) "last is cheapest" best_power last.Pareto.power
-  | [] -> Alcotest.fail "empty frontier"
-
-(* --- Multi_objective ---------------------------------------------------------- *)
-
-module Multi_objective = Mm_cosynth.Multi_objective
-
-let test_multi_objective_front () =
-  let spec = two_mode_spec () in
-  let config = { Mm_ga.Nsga2.default_config with Mm_ga.Nsga2.max_generations = 30 } in
-  let result = Multi_objective.optimise ~config ~spec ~seed:5 () in
-  Alcotest.(check bool) "non-empty front" true (result.Multi_objective.front <> []);
-  (* Every returned point is feasible and the front is mutually
-     non-dominated in (power, area). *)
-  List.iter
-    (fun (p : Multi_objective.point) ->
-      Alcotest.(check bool) "feasible" true (Fitness.feasible p.Multi_objective.eval))
-    result.Multi_objective.front;
-  List.iter
-    (fun (a : Multi_objective.point) ->
-      List.iter
-        (fun (b : Multi_objective.point) ->
-          if a != b then
-            Alcotest.(check bool) "non-dominated" false
-              (a.Multi_objective.power <= b.Multi_objective.power
-              && a.Multi_objective.area <= b.Multi_objective.area
-              && (a.Multi_objective.power < b.Multi_objective.power
-                 || a.Multi_objective.area < b.Multi_objective.area)))
-        result.Multi_objective.front)
-    result.Multi_objective.front;
-  (* The all-software anchor guarantees a zero-area point exists. *)
-  match result.Multi_objective.front with
-  | first :: _ -> Alcotest.(check (float 1e-9)) "zero-area point" 0.0 first.Multi_objective.area
-  | [] -> Alcotest.fail "empty front"
-
-let test_multi_objective_beats_single_point () =
-  (* The front's cheapest-power point should be at least as good as a
-     short single-objective run (same evaluation order of magnitude). *)
-  let spec = two_mode_spec () in
-  let config = { Mm_ga.Nsga2.default_config with Mm_ga.Nsga2.max_generations = 40 } in
-  let result = Multi_objective.optimise ~config ~spec ~seed:6 () in
-  let best_front_power =
-    List.fold_left (fun acc p -> Float.min acc p.Multi_objective.power) infinity
-      result.Multi_objective.front
-  in
-  let single =
-    Synthesis.run
-      ~config:{ Synthesis.default_config with ga = { Engine.default_config with max_generations = 40 } }
-      ~spec ~seed:6 ()
-  in
-  Alcotest.(check bool) "within 25% of the single-objective result" true
-    (best_front_power <= Synthesis.average_power single *. 1.25)
 
 let () =
   Alcotest.run "mm_cosynth"
@@ -846,15 +749,5 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_annealing_deterministic;
           Alcotest.test_case "validation" `Quick test_annealing_validation;
           Alcotest.test_case "genome valid" `Quick test_annealing_genome_valid;
-        ] );
-      ( "pareto",
-        [
-          Alcotest.test_case "scale architecture" `Quick test_scale_architecture;
-          Alcotest.test_case "sweep and frontier" `Slow test_pareto_sweep_and_frontier;
-        ] );
-      ( "multi-objective",
-        [
-          Alcotest.test_case "front" `Slow test_multi_objective_front;
-          Alcotest.test_case "vs single objective" `Slow test_multi_objective_beats_single_point;
         ] );
     ]

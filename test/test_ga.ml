@@ -355,21 +355,6 @@ let evals_bit_identical (a : Fitness.eval) (b : Fitness.eval) =
               q.Mm_energy.Power.static_power)
        a.Fitness.mode_powers b.Fitness.mode_powers
 
-(* point_mutate_tracked consumes the identical RNG stream as
-   point_mutate and reports exactly the positions that changed. *)
-let prop_tracked_mutation_matches_plain =
-  QCheck.Test.make ~name:"point_mutate_tracked ≡ point_mutate" ~count:300
-    QCheck.(triple small_int (int_range 1 40) (float_range 0.0 1.0))
-    (fun (seed, n, rate) ->
-      let counts = Array.init n (fun i -> 2 + (i mod 5)) in
-      let g = Genome.random (Prng.create ~seed) ~counts in
-      let rng_a = Prng.create ~seed:(seed + 1)
-      and rng_b = Prng.create ~seed:(seed + 1) in
-      let a = Array.copy g and b = Array.copy g in
-      Genome.point_mutate rng_a ~counts ~rate a;
-      let touched = Genome.point_mutate_tracked rng_b ~counts ~rate b in
-      a = b && Prng.state rng_a = Prng.state rng_b && touched = Genome.diff g b)
-
 let test_diff () =
   Alcotest.(check (list int)) "positions ascending" [ 1; 3 ]
     (Genome.diff [| 0; 1; 2; 3 |] [| 0; 2; 2; 0 |]);
@@ -379,10 +364,11 @@ let test_diff () =
   | _ -> Alcotest.fail "length mismatch accepted"
 
 (* The canonical delta-vs-full equivalence fuzz (DESIGN §13): random
-   specs, random mutation chains through [point_mutate_tracked], every
-   step checked float-bit against the full pipeline, and the last one
-   against the cache-free reference pipeline too.  The specs are fixture
-   graphs on the small fixture platform, the smartphone (all hardware on
+   specs, random mutation chains drawn by [point_mutate] with the dirty
+   set from [Genome.diff] (the engine's own path), every step checked
+   float-bit against the full pipeline, and the last one against the
+   cache-free reference pipeline too.  The specs are fixture graphs on
+   the small fixture platform, the smartphone (all hardware on
    ASICs, so growing a core in one mode changes the static cores every
    mode sees) and mul1–mul12 (ASICs and FPGAs mixed).  The big specs are
    built once, so their per-mode caches carry over between cases the
@@ -426,7 +412,8 @@ let delta_case seed =
   for _ = 1 to 3 do
     let rate = [| 0.01; 0.05; 0.2; 0.9 |].(Prng.int rng 4) in
     let child = Array.copy !current in
-    let dirty = Genome.point_mutate_tracked rng ~counts ~rate child in
+    Genome.point_mutate rng ~counts ~rate child;
+    let dirty = Genome.diff !current child in
     let via_delta = Fitness.evaluate_delta config spec ~parent:!parent ~dirty child in
     let via_full = Fitness.evaluate config spec child in
     if not (evals_bit_identical via_delta via_full) then ok := false;
@@ -584,99 +571,6 @@ let test_engine_delta_identical_trajectory () =
     pooled.Engine.best_genome;
   Alcotest.(check (list (float 0.0))) "pooled history" plain.Engine.history
     pooled.Engine.history
-
-(* --- Nsga2 -------------------------------------------------------------------- *)
-
-module Nsga2 = Mm_ga.Nsga2
-
-let test_dominates () =
-  Alcotest.(check bool) "strict" true (Nsga2.dominates [| 1.0; 1.0 |] [| 2.0; 2.0 |]);
-  Alcotest.(check bool) "weak one axis" true (Nsga2.dominates [| 1.0; 2.0 |] [| 2.0; 2.0 |]);
-  Alcotest.(check bool) "equal" false (Nsga2.dominates [| 1.0; 1.0 |] [| 1.0; 1.0 |]);
-  Alcotest.(check bool) "incomparable" false (Nsga2.dominates [| 1.0; 3.0 |] [| 2.0; 2.0 |])
-
-let test_non_dominated_sort () =
-  let objectives = [| [| 1.0; 1.0 |]; [| 2.0; 2.0 |]; [| 0.5; 3.0 |]; [| 3.0; 3.0 |] |] in
-  let rank = Nsga2.non_dominated_sort objectives in
-  Alcotest.(check int) "first front" 0 rank.(0);
-  Alcotest.(check int) "dominated once" 1 rank.(1);
-  Alcotest.(check int) "incomparable is first front" 0 rank.(2);
-  Alcotest.(check int) "doubly dominated" 2 rank.(3)
-
-let test_crowding_boundaries_infinite () =
-  let objectives = [| [| 0.0; 3.0 |]; [| 1.0; 2.0 |]; [| 2.0; 1.0 |]; [| 3.0; 0.0 |] |] in
-  let d = Nsga2.crowding_distances objectives [ 0; 1; 2; 3 ] in
-  Alcotest.(check bool) "boundary low" true (d.(0) = infinity);
-  Alcotest.(check bool) "boundary high" true (d.(3) = infinity);
-  Alcotest.(check bool) "interior finite" true (Float.is_finite d.(1) && Float.is_finite d.(2))
-
-(* Bi-objective toy: genome of 12 binary genes; f1 = number of ones,
-   f2 = number of zeros.  Every genome is Pareto-optimal; NSGA-II must
-   return a spread of trade-offs including both extremes' neighbourhoods. *)
-let test_nsga2_spreads_over_front () =
-  let n = 12 in
-  let problem =
-    {
-      Nsga2.gene_counts = Array.make n 2;
-      n_objectives = 2;
-      evaluate =
-        (fun g ->
-          let ones = Array.fold_left ( + ) 0 g in
-          ([| float_of_int ones; float_of_int (n - ones) |], ()));
-      initial = [];
-    }
-  in
-  let result = Nsga2.run ~rng:(Mm_util.Prng.create ~seed:3) problem in
-  Alcotest.(check bool) "many distinct trade-offs" true (List.length result.Nsga2.front >= 6);
-  let ones_values =
-    List.map (fun ind -> int_of_float ind.Nsga2.objectives.(0)) result.Nsga2.front
-    |> List.sort_uniq compare
-  in
-  Alcotest.(check bool) "covers a wide range" true
-    (List.length ones_values >= 6
-    && List.hd ones_values <= 2
-    && List.nth ones_values (List.length ones_values - 1) >= n - 2)
-
-let test_nsga2_front_mutually_non_dominated () =
-  let problem =
-    {
-      Nsga2.gene_counts = Array.make 8 4;
-      n_objectives = 2;
-      evaluate =
-        (fun g ->
-          let a = Array.fold_left ( + ) 0 g in
-          let b = Array.fold_left (fun acc x -> acc + ((3 - x) * (3 - x))) 0 g in
-          ([| float_of_int a; float_of_int b |], ()));
-      initial = [];
-    }
-  in
-  let result = Nsga2.run ~rng:(Mm_util.Prng.create ~seed:4) problem in
-  List.iter
-    (fun (a : unit Nsga2.individual) ->
-      List.iter
-        (fun (b : unit Nsga2.individual) ->
-          if a != b then
-            Alcotest.(check bool) "mutually non-dominated" false
-              (Nsga2.dominates a.Nsga2.objectives b.Nsga2.objectives))
-        result.Nsga2.front)
-    result.Nsga2.front
-
-let test_nsga2_deterministic () =
-  let problem =
-    {
-      Nsga2.gene_counts = Array.make 6 3;
-      n_objectives = 2;
-      evaluate =
-        (fun g ->
-          ([| float_of_int (Array.fold_left ( + ) 0 g); float_of_int g.(0) |], ()));
-      initial = [];
-    }
-  in
-  let config = { Nsga2.default_config with Nsga2.max_generations = 15 } in
-  let run seed = Nsga2.run ~config ~rng:(Mm_util.Prng.create ~seed) problem in
-  let a = run 5 and b = run 5 in
-  Alcotest.(check int) "same front size" (List.length a.Nsga2.front) (List.length b.Nsga2.front);
-  Alcotest.(check int) "same evaluations" a.Nsga2.evaluations b.Nsga2.evaluations
 
 (* --- Islands ----------------------------------------------------------------- *)
 
@@ -874,7 +768,6 @@ let () =
         ] );
       ( "delta evaluation",
         [
-          QCheck_alcotest.to_alcotest prop_tracked_mutation_matches_plain;
           Alcotest.test_case "diff" `Quick test_diff;
           QCheck_alcotest.to_alcotest prop_delta_matches_full;
           Alcotest.test_case "clean mode reused when its read set holds" `Quick
@@ -897,15 +790,5 @@ let () =
             test_robust_point_is_bypass;
           Alcotest.test_case "deterministic, serial ≡ pooled" `Quick
             test_robust_deterministic_across_jobs;
-        ] );
-      ( "nsga2",
-        [
-          Alcotest.test_case "dominates" `Quick test_dominates;
-          Alcotest.test_case "non-dominated sort" `Quick test_non_dominated_sort;
-          Alcotest.test_case "crowding boundaries" `Quick test_crowding_boundaries_infinite;
-          Alcotest.test_case "spreads over front" `Quick test_nsga2_spreads_over_front;
-          Alcotest.test_case "mutually non-dominated" `Quick
-            test_nsga2_front_mutually_non_dominated;
-          Alcotest.test_case "deterministic" `Quick test_nsga2_deterministic;
         ] );
     ]

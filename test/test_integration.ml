@@ -148,12 +148,12 @@ let test_annealing_comparable_to_ga () =
   let spec = Random_system.mul 5 in
   let ga = Synthesis.run ~config:(quick_config ()) ~spec ~seed:3 () in
   let sa =
-    Mm_cosynth.Annealing.run
-      ~config:{ Mm_cosynth.Annealing.default_config with Mm_cosynth.Annealing.steps = 2000 }
+    Annealing.run
+      ~config:{ Annealing.default_config with Annealing.steps = 2000 }
       ~spec ~seed:3 ()
   in
   let ratio =
-    sa.Mm_cosynth.Annealing.eval.Fitness.true_power /. Synthesis.average_power ga
+    sa.Annealing.eval.Fitness.true_power /. Synthesis.average_power ga
   in
   Alcotest.(check bool)
     (Printf.sprintf "ratio %.2f within [0.2, 10]" ratio)
